@@ -1,8 +1,10 @@
 #!/usr/bin/env python3
-"""Grid scans of the explicit bound expressions.
+"""Grid scans of the explicit bound expressions that `pgrouplab bounds` does
+not cover: the piecewise regularity bound at three (d, n) pairs per prime, and
+the dimension-gap inequality map with each inequality in its own column.
 
-Emits three CSVs: the orbit-ratio bound along a prime grid, the piecewise
-regularity bound, and the dimension-gap inequality map.
+The orbit-ratio bound along a prime grid is a CLI command:
+    pgrouplab bounds --kind limit1 --p 2,3,5,...,97 --d 17 --n 3 --out FILE
 """
 import argparse
 import csv
@@ -16,19 +18,9 @@ PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67
 def main():
     parser = argparse.ArgumentParser()
     parser.add_argument("--outdir", default="bounds_out")
-    parser.add_argument("--d", type=int, default=17)
-    parser.add_argument("--n", type=int, default=3)
     args = parser.parse_args()
     outdir = pathlib.Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-
-    with open(outdir / "limit1_prime_grid.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["p", "d", "n", "profile", "lhs", "rhs", "holds", "warnings"])
-        for row in bd.limit1_grid(PRIMES, [args.d], [args.n]):
-            writer.writerow(
-                [row.p, row.d, row.n, row.profile, row.lhs, row.rhs, row.holds, row.warnings]
-            )
 
     with open(outdir / "limit2_grid.csv", "w", newline="") as fh:
         writer = csv.writer(fh)

@@ -1,13 +1,13 @@
 #!/usr/bin/env python3
-"""Convergence experiment for the twisted chain: exact TV decay, the
-chi-square bound, the closed-form upper bound, and the product lemmas.
+"""Convergence checks for the twisted chain that no CLI command makes: the
+cutoff schedule against the measured TV distance, and the Mersenne-parameter
+cosine products.  The TV / chi-square / upper-bound series itself comes from
+`pgrouplab walk --exact --out FILE`.
 
 Example:
-    python scripts/walk_experiment.py --p 31 --d 2 --a 2 --n 200
+    python scripts/walk_experiment.py --p 31 --d 2 --a 2
 """
 import argparse
-import csv
-import pathlib
 
 from pgrouplab import walk as wk
 
@@ -18,34 +18,12 @@ def main():
     parser.add_argument("--d", type=int, default=2)
     parser.add_argument("--a", type=int, default=2, help="scalar multiplier (A = aI)")
     parser.add_argument("--q", type=float, default=1.0)
-    parser.add_argument("--n", type=int, default=200)
-    parser.add_argument("--outdir", default="walk_out")
     args = parser.parse_args()
-    outdir = pathlib.Path(args.outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
 
     mat = tuple(
         tuple(args.a if i == j else 0 for j in range(args.d)) for i in range(args.d)
     )
     spec = wk.WalkSpec(p=args.p, d=args.d, a_matrix=mat, q_weight=args.q)
-    eigs = [args.a] * args.d
-
-    path = outdir / f"series_p{args.p}_d{args.d}_a{args.a}.csv"
-    fou = wk.fourier_steps(spec, args.n)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["n", "tv", "chi2_rhs", "ubthm_bound"])
-        for n, dist in enumerate(wk.evolve_steps(spec, args.n)):
-            f = next(fou)
-            writer.writerow(
-                [
-                    n,
-                    f"{wk.tv_distance(dist):.12g}",
-                    f"{wk.chi2_rhs(f):.12g}",
-                    f"{wk.ubthm_bound(args.p, args.d, eigs, args.q, n):.12g}",
-                ]
-            )
-    print(f"wrote {path}")
 
     for c in (1.0, 2.0):
         sch = wk.ubcor_schedule(args.p, args.d, c)

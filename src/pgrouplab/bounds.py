@@ -94,7 +94,8 @@ class SqrtNum:
         return SqrtNum(self.p, self.half_shift + half_units, self.a, self.b)
 
     def __add__(self, other: "SqrtNum") -> "SqrtNum":
-        assert self.p == other.p
+        if self.p != other.p:
+            raise ValueError(f"cannot add numbers over sqrt({self.p}) and sqrt({other.p})")
         lo, hi = (self, other) if self.half_shift <= other.half_shift else (other, self)
         delta = hi.half_shift - lo.half_shift
         p = self.p
@@ -147,12 +148,6 @@ class PowSum:
         rel = (self.exps - kmax) / 2.0 * math.log(self.p)
         total = float(np.sum(self.counts * np.exp(rel)))
         return kmax / 2.0 + math.log(total) / math.log(self.p)
-
-    def to_sqrtnum(self) -> SqrtNum:
-        out = SqrtNum(self.p, 0, 0, 0)
-        for k, c in zip(self.exps.tolist(), self.counts.tolist()):
-            out = out + SqrtNum(self.p, int(k), int(c), 0)
-        return out
 
 
 @dataclass(frozen=True)

@@ -1,29 +1,21 @@
 """Command-line front end: census, bounds, lie, submod, orbits, walk, selftest.
 
 Every command writes a JSON manifest next to its output and is deterministic
-given (arguments, seed).  Exit code 0 means all requested checks passed;
-otherwise a machine-readable failure list is printed as JSON.
+given (arguments, seed).  Each command returns its list of failed checks, and
+`main` alone reports them: it prints the list as JSON, {"failures": [...]},
+and exits 1 when a check failed or 2 on malformed input or a tripped guard.
 """
 from __future__ import annotations
 
 import argparse
 import csv
 import json
-import os
 import sys
 from typing import List, Optional
 
 from . import __version__, bounds, fplin, freelie, qcombin, submod, walk
 from .groups.catalog import census as run_census
 from .groups.catalog import parse_catalog
-
-
-def _thread_cap() -> int:
-    # Execution is serial; the env var is honored as an upper bound.
-    try:
-        return max(1, int(os.environ.get("PGROUPLAB_THREADS", "1")))
-    except ValueError:
-        return 1
 
 
 def _write_manifest(out_path: Optional[str], command: str, params: dict, seed: Optional[int]):
@@ -38,7 +30,6 @@ def _write_manifest(out_path: Optional[str], command: str, params: dict, seed: O
         "params": params,
         "seed": seed,
         "version": __version__,
-        "thread_cap": _thread_cap(),
         "guards": {
             "group_order": ORDER_GUARD,
             "subspace_count": SUBSPACE_GUARD,
@@ -83,25 +74,20 @@ def _parse_matrix(text: str, d: int) -> tuple:
 UNSAFE_GUARD = 10**12
 
 
-def cmd_census(args) -> int:
+def cmd_census(args) -> List[str]:
     guard = UNSAFE_GUARD if args.unsafe_limits else 256
+    entries = None
     if args.catalog:
         entries = [(name, g) for name, g, p in parse_catalog(args.catalog, guard=guard)]
-        hits, total, rows = run_census(args.p, args.k, entries=entries)
-    else:
-        try:
-            hits, total, rows = run_census(args.p, args.k)
-        except ValueError as exc:
-            print(json.dumps({"failures": [str(exc)]}))
-            return 2
+    hits, total, rows = run_census(args.p, args.k, entries=entries)
     out_rows = [[r.name, r.aut_order, str(r.aut_is_p_group).lower()] for r in rows]
     _write_csv(args.out, ["name", "aut_order", "is_p_group"], out_rows)
     _write_manifest(args.out, "census", {"p": args.p, "k": args.k, "catalog": args.catalog}, None)
     print(f"{hits}/{total}")
-    return 0
+    return []
 
 
-def cmd_bounds(args) -> int:
+def cmd_bounds(args) -> List[str]:
     failures = []
     rows = []
     ps, ds, ns = _int_list(args.p), _int_list(args.d), _int_list(args.n)
@@ -129,19 +115,15 @@ def cmd_bounds(args) -> int:
                 rows.append([0, d, n, "", "", "", all((first, second, third)),
                              f"first={first};second={second};third={third}"])
     else:
-        print(json.dumps({"failures": [f"unknown kind {args.kind}"]}))
-        return 2
+        raise ValueError(f"unknown kind {args.kind}")
     _write_csv(args.out, ["p", "d", "n", "profile", "lhs", "rhs", "holds", "warnings"], rows)
     _write_manifest(args.out, "bounds", {"kind": args.kind, "p": ps, "d": ds, "n": ns}, None)
     for row in rows:
         print(",".join(str(x) for x in row))
-    if failures:
-        print(json.dumps({"failures": failures}))
-        return 1
-    return 0
+    return failures
 
 
-def cmd_lie(args) -> int:
+def cmd_lie(args) -> List[str]:
     failures = []
     outputs = {}
     if args.witt:
@@ -175,13 +157,10 @@ def cmd_lie(args) -> int:
         with open(args.out, "w") as fh:
             json.dump(outputs, fh, indent=2, sort_keys=True, default=str)
             fh.write("\n")
-    if failures:
-        print(json.dumps({"failures": failures}))
-        return 1
-    return 0
+    return failures
 
 
-def cmd_submod(args) -> int:
+def cmd_submod(args) -> List[str]:
     alpha = qcombin.Partition(_int_list(args.alpha))
     beta = qcombin.Partition(_int_list(args.beta)) if args.beta else None
     if beta is not None:
@@ -192,10 +171,10 @@ def cmd_submod(args) -> int:
     _write_csv(args.out, ["alpha", "beta", "q", "count"],
                [[args.alpha, args.beta or "", args.q, value]])
     _write_manifest(args.out, "submod", {"alpha": args.alpha, "beta": args.beta, "q": args.q}, None)
-    return 0
+    return []
 
 
-def cmd_orbits(args) -> int:
+def cmd_orbits(args) -> List[str]:
     failures = []
     guard = UNSAFE_GUARD if args.unsafe_limits else fplin.GL_GUARD
     if args.module == "natural":
@@ -203,8 +182,7 @@ def cmd_orbits(args) -> int:
     elif args.module == "wedge":
         action = fplin.wedge_module(args.d, args.p, guard=guard)
     else:
-        print(json.dumps({"failures": [f"unknown module {args.module}"]}))
-        return 2
+        raise ValueError(f"unknown module {args.module}")
     cf_count, _ = fplin.cauchy_frobenius(action)
     census = fplin.regular_orbits(action)
     if cf_count != census.orbit_count:
@@ -216,13 +194,10 @@ def cmd_orbits(args) -> int:
     _write_csv(args.out, ["action_id", "orbit_index", "size", "stabilizer_order", "regular"], rows)
     _write_manifest(args.out, "orbits", {"d": args.d, "p": args.p, "module": args.module}, None)
     print(f"orbits={census.orbit_count} regular={census.regular_count}")
-    if failures:
-        print(json.dumps({"failures": failures}))
-        return 1
-    return 0
+    return failures
 
 
-def cmd_walk(args) -> int:
+def cmd_walk(args) -> List[str]:
     state_guard = UNSAFE_GUARD if args.unsafe_limits else walk.STATE_GUARD
     spec = walk.WalkSpec(p=args.p, d=args.d, a_matrix=_parse_matrix(args.a, args.d),
                          q_weight=args.q, state_guard=state_guard)
@@ -251,8 +226,7 @@ def cmd_walk(args) -> int:
         rows.append([args.n, f"{tv:.12g}", "", ""])
         print(f"TV {tv:.4f}")
     else:
-        print(json.dumps({"failures": [f"unknown mode {args.mode}"]}))
-        return 2
+        raise ValueError(f"unknown mode {args.mode}")
     _write_csv(args.out, ["n", "tv", "chi2_rhs", "ubthm_bound"], rows)
     _write_manifest(
         args.out, "walk",
@@ -263,13 +237,10 @@ def cmd_walk(args) -> int:
         },
         args.seed,
     )
-    if failures:
-        print(json.dumps({"failures": failures}))
-        return 1
-    return 0
+    return failures
 
 
-def cmd_selftest(args) -> int:
+def cmd_selftest(args) -> List[str]:
     """A fast battery of cross-checks across the modules."""
     failures = []
 
@@ -294,10 +265,7 @@ def cmd_selftest(args) -> int:
     dist = walk.evolve_exact(spec, 1)
     check("one-step scalar walk TV = 1/3", abs(walk.tv_distance(dist) - 1 / 3) < 1e-12)
     _write_manifest(args.out, "selftest", {}, None)
-    if failures:
-        print(json.dumps({"failures": failures}))
-        return 1
-    return 0
+    return failures
 
 
 # ---------------------------------------------------------------------------
@@ -378,7 +346,15 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
     if getattr(args, "mode", "unset") is None:
         args.mode = "exact"
-    return args.func(args)
+    try:
+        failures = args.func(args)
+    except ValueError as exc:
+        print(json.dumps({"failures": [str(exc)]}))
+        return 2
+    if failures:
+        print(json.dumps({"failures": failures}))
+        return 1
+    return 0
 
 
 if __name__ == "__main__":

@@ -38,17 +38,6 @@ def mat_vec(a: tuple, v: tuple, p: int) -> tuple:
     return tuple(sum(row[j] * v[j] for j in range(len(v))) % p for row in a)
 
 
-def mat_pow(a: tuple, e: int, p: int) -> tuple:
-    out = mat_identity(len(a))
-    base = a
-    while e:
-        if e & 1:
-            out = mat_mul(out, base, p)
-        base = mat_mul(base, base, p)
-        e >>= 1
-    return out
-
-
 def rref(rows: Iterable[Sequence[int]], p: int) -> tuple:
     """Reduced row echelon form; returns the nonzero rows as a canonical tuple."""
     mat = [list(r) for r in rows]
@@ -129,10 +118,6 @@ class FpSubspace:
         return FpSubspace(rows, self.ambient_dim, self.p)
 
 
-def subspace_from_vectors(vecs: Iterable[Sequence[int]], m: int, p: int) -> FpSubspace:
-    return FpSubspace(rref(vecs, p), m, p)
-
-
 def enumerate_rref_rows(m: int, p: int, k: int) -> Iterator[tuple]:
     """All RREF bases of k-dimensional subspaces of F_p^m, each exactly once."""
     for pivots in itertools.combinations(range(m), k):
@@ -163,11 +148,16 @@ def enumerate_subspaces(
             yield FpSubspace(rows, m, p)
 
 
-def gl_enumerate(d: int, p: int, guard: int = GL_GUARD) -> list:
-    """All invertible d x d matrices over F_p, built row by row."""
+def gl_order(d: int, p: int) -> int:
     order = 1
     for i in range(d):
         order *= p**d - p**i
+    return order
+
+
+def gl_enumerate(d: int, p: int, guard: int = GL_GUARD) -> list:
+    """All invertible d x d matrices over F_p, built row by row."""
+    order = gl_order(d, p)
     if order > guard:
         raise ValueError(f"|GL({d},{p})| = {order} exceeds guard {guard}")
     vectors = list(itertools.product(range(p), repeat=d))
@@ -186,15 +176,9 @@ def gl_enumerate(d: int, p: int, guard: int = GL_GUARD) -> list:
             extend(rows + [v])
 
     extend([])
-    assert len(out) == order
+    if len(out) != order:
+        raise ArithmeticError(f"enumerated {len(out)} matrices, |GL({d},{p})| = {order}")
     return out
-
-
-def gl_order(d: int, p: int) -> int:
-    order = 1
-    for i in range(d):
-        order *= p**d - p**i
-    return order
 
 
 def invariant_subspace_count(g: tuple, p: int, guard: int = SUBSPACE_GUARD) -> int:
@@ -415,7 +399,8 @@ def companion_matrix(f: Sequence[int], p: int) -> tuple:
     """Companion matrix of a monic polynomial, column convention."""
     f = poly_trim(f)
     k = len(f) - 1
-    assert k >= 1 and f[-1] == 1
+    if k < 1 or f[-1] != 1:
+        raise ValueError("companion matrix needs a monic polynomial of degree >= 1")
     out = [[0] * k for _ in range(k)]
     for j in range(k - 1):
         out[j + 1][j] = 1
@@ -482,99 +467,3 @@ def gl_class_reps(d: int, p: int) -> list:
     rec(0, d, [])
     return reps
 
-
-# ---------------------------------------------------------------------------
-# small prime-power fields (deterministic oracle substrate)
-
-# fixed irreducible moduli per (p, degree); coefficients low-to-high
-_FIELD_MODULI = {
-    (2, 2): (1, 1, 1),
-    (2, 3): (1, 1, 0, 1),
-    (2, 4): (1, 1, 0, 0, 1),
-    (3, 2): (1, 0, 1),
-    (3, 3): (1, 2, 0, 1),
-    (5, 2): (2, 0, 1),
-    (7, 2): (1, 0, 1),
-}
-
-
-class SmallField:
-    """F_q as F_p[t]/(f) with precomputed add/mul/inv tables.
-
-    Elements are integers 0..q-1 encoding base-p coefficient vectors.
-    """
-
-    def __init__(self, q: int):
-        p, k = _prime_power(q)
-        self.q, self.p, self.deg = q, p, k
-        if k == 1:
-            self.add = [[(a + b) % p for b in range(p)] for a in range(p)]
-            self.mul = [[(a * b) % p for b in range(p)] for a in range(p)]
-        else:
-            f = _FIELD_MODULI[(p, k)]
-            polys = [self._decode(e) for e in range(q)]
-            self.add = [
-                [self._encode([(x + y) % p for x, y in zip(polys[a], polys[b])]) for b in range(q)]
-                for a in range(q)
-            ]
-            self.mul = [
-                [
-                    self._encode(poly_divmod(poly_mul(polys[a], polys[b], p), f, p)[1])
-                    for b in range(q)
-                ]
-                for a in range(q)
-            ]
-        self.neg = [0] * q
-        self.inv = [0] * q
-        for a in range(q):
-            for b in range(q):
-                if self.add[a][b] == 0:
-                    self.neg[a] = b
-                if a and self.mul[a][b] == 1:
-                    self.inv[a] = b
-
-    def _decode(self, e: int) -> list:
-        return [(e // self.p**i) % self.p for i in range(self.deg)]
-
-    def _encode(self, coeffs: Sequence[int]) -> int:
-        return sum((c % self.p) * self.p**i for i, c in enumerate(coeffs))
-
-
-def _prime_power(q: int) -> tuple:
-    for p in (2, 3, 5, 7, 11, 13):
-        if q % p == 0:
-            k = 0
-            while q % p == 0:
-                q //= p
-                k += 1
-            if q != 1:
-                raise ValueError("q must be a prime power")
-            return p, k
-    raise ValueError("q must be a prime power with p <= 13")
-
-
-def rref_field(rows: Iterable[Sequence[int]], field: SmallField) -> tuple:
-    """RREF over a SmallField; same canonical-form contract as rref()."""
-    mat = [list(r) for r in rows]
-    if not mat:
-        return ()
-    ncols = len(mat[0])
-    add, mul, neg, inv = field.add, field.mul, field.neg, field.inv
-    pivot_row = 0
-    for col in range(ncols):
-        sel = next((r for r in range(pivot_row, len(mat)) if mat[r][col]), None)
-        if sel is None:
-            continue
-        mat[pivot_row], mat[sel] = mat[sel], mat[pivot_row]
-        c = inv[mat[pivot_row][col]]
-        mat[pivot_row] = [mul[c][x] for x in mat[pivot_row]]
-        for r in range(len(mat)):
-            if r != pivot_row and mat[r][col]:
-                c = mat[r][col]
-                mat[r] = [
-                    add[x][neg[mul[c][y]]] for x, y in zip(mat[r], mat[pivot_row])
-                ]
-        pivot_row += 1
-        if pivot_row == len(mat):
-            break
-    return tuple(tuple(r) for r in mat[:pivot_row] if any(r))

@@ -74,7 +74,8 @@ def witt_dim(d: int, n: int) -> int:
         raise ValueError("n must be positive")
     total = sum(mobius(n // j) * d**j for j in range(1, n + 1) if n % j == 0)
     dim, rem = divmod(total, n)
-    assert rem == 0
+    if rem:
+        raise ArithmeticError(f"necklace sum for d={d}, n={n} not divisible by n")
     return dim
 
 
@@ -106,10 +107,6 @@ class NcPoly:
         if not 1 <= j <= d:
             raise ValueError(f"generator index {j} outside 1..{d}")
         return cls({(j,): 1}, p, d)
-
-    @classmethod
-    def from_word(cls, w: Word, p: int, d: int, c: int = 1) -> "NcPoly":
-        return cls({tuple(w): c}, p, d)
 
     def _match(self, other: "NcPoly"):
         if self.p != other.p or self.d != other.d:
@@ -202,7 +199,7 @@ def right_bracketing_tree(w: Word):
     for i in range(1, len(w)):
         if is_lyndon(w[i:]):
             return (right_bracketing_tree(w[:i]), right_bracketing_tree(w[i:]))
-    raise AssertionError("unreachable: single letters are Lyndon")
+    raise ArithmeticError("unreachable: single letters are Lyndon")
 
 
 def bracket_expansion(tree, p: int, d: int) -> NcPoly:
@@ -316,28 +313,6 @@ class LieSubspace:
 
 def com_subspace(w: LieSubspace) -> LieSubspace:
     return w.com()
-
-
-def random_subspace(
-    d: int, degrees: Iterable[int], p: int, dim: int, seed: int
-) -> LieSubspace:
-    """Row space of a seeded uniform random matrix inside a graded slice.
-
-    For homogeneous Lie components pass vectors through lambda_basis instead.
-    """
-    degrees = tuple(sorted(set(degrees)))
-    rng = random.Random(seed)
-    words = [w for n in degrees for w in words_of_degree(d, n)]
-    polys = []
-    for _ in range(dim):
-        polys.append(
-            NcPoly(
-                {w: rng.randrange(p) for w in words},
-                p,
-                d,
-            )
-        )
-    return LieSubspace.from_polys(polys, p, d, degrees)
 
 
 def random_lie_subspace(d: int, n: int, p: int, dim: int, seed: int) -> LieSubspace:

@@ -33,7 +33,8 @@ def minimal_generating_tuple(g: CayleyGroup, p: Optional[int] = None) -> List[in
                 span = q.closure(list(span) + [int(proj[x])])
                 if span.size == q.order:
                     break
-        assert g.closure(gens).size == g.order
+        if g.closure(gens).size != g.order:
+            raise ArithmeticError("lifted Frattini-quotient basis does not generate G")
         return gens
     gens = []
     span = np.array([g.identity], dtype=np.int32)
@@ -99,8 +100,9 @@ def _search(
         if round(math.log(target.order // phi_t.size, p) if phi_t.size < target.order else 0) != d:
             return 0 if count_only else []
         # the Frattini quotient is elementary abelian, so a span extension is
-        # one product set, not an iterated closure
-        qt_cyc = [qt.closure([x]) for x in range(qt.order)]
+        # one product set, not an iterated closure; a one-generator search
+        # never extends a span
+        qt_cyc = [qt.closure([x]) for x in range(qt.order)] if d > 1 else []
     else:
         qt, proj_t = None, None
 
@@ -129,7 +131,8 @@ def _search(
         check_j.append(j_arr)
         check_xg.append(g.table[x_arr, gens_arr[j_arr]])
         known = mem
-    assert members[-1].size == g.order
+    if members[-1].size != g.order:
+        raise ArithmeticError("generator chain does not reach the whole group")
 
     table_t = target.table
     results: List[np.ndarray] = []
@@ -194,8 +197,10 @@ def aut_group(g: CayleyGroup, p: Optional[int] = None) -> List[np.ndarray]:
     """All automorphisms as permutation arrays, each verified on construction."""
     auts = _search(g, g, p)
     for phi in auts:
-        assert np.array_equal(np.sort(phi), np.arange(g.order))
-        assert np.array_equal(phi[g.table], g.table[phi[:, None], phi[None, :]])
+        if not np.array_equal(np.sort(phi), np.arange(g.order)):
+            raise ArithmeticError("automorphism search returned a non-bijection")
+        if not np.array_equal(phi[g.table], g.table[phi[:, None], phi[None, :]]):
+            raise ArithmeticError("automorphism search returned a non-homomorphism")
     return auts
 
 

@@ -148,16 +148,26 @@ def write_catalog(path: str, entries: Sequence[Tuple[str, CayleyGroup, int]]):
 
 
 def parse_catalog(path: str, guard: int = 256) -> List[Tuple[str, CayleyGroup, int]]:
+    """Read the format of `write_catalog`; malformed or truncated files raise ValueError.
+
+    A name may contain spaces: it is everything between "group" and the
+    trailing "order <n> prime <p>".
+    """
     entries = []
     with open(path) as fh:
         lines = [ln.strip() for ln in fh if ln.strip()]
     i = 0
     while i < len(lines):
-        head = lines[i].split()
-        if head[0] != "group" or head[2] != "order" or head[4] != "prime":
+        head = lines[i].rsplit(maxsplit=4)
+        lead = head[0].split(maxsplit=1)
+        if len(head) != 5 or len(lead) != 2 or (lead[0], head[1], head[3]) != ("group", "order", "prime"):
             raise ValueError(f"malformed catalog header: {lines[i]!r}")
-        name, n, p = head[1], int(head[3]), int(head[5])
+        name, n, p = lead[1], int(head[2]), int(head[4])
+        if i + 1 + n > len(lines):
+            raise ValueError(f"catalog entry {name!r} promises {n} table rows, the file ends first")
         rows = [list(map(int, lines[i + 1 + r].split())) for r in range(n)]
+        if any(len(row) != n for row in rows):
+            raise ValueError(f"catalog entry {name!r} has a table row whose length is not {n}")
         i += 1 + n
         gens = None
         if i < len(lines) and lines[i].startswith("generators"):

@@ -11,6 +11,8 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ..qcombin import Partition
+
 ORDER_GUARD = 256
 SUBGROUP_ORDER_GUARD = 128
 
@@ -231,9 +233,6 @@ class CayleyGroup:
             series.append(self.closure(np.concatenate([powers, comms.ravel()])))
         return series
 
-    def lower_p_length(self, p: int) -> int:
-        return len(self.lower_p_series(p)) - 1
-
     def frattini(self, p: int) -> np.ndarray:
         """Second term of the lower p-series."""
         series = self.lower_p_series(p)
@@ -243,7 +242,8 @@ class CayleyGroup:
         phi = self.frattini(p)
         idx = self.order // phi.size
         d = round(math.log(idx, p)) if idx > 1 else 0
-        assert p**d == idx
+        if p**d != idx:
+            raise ArithmeticError(f"Frattini index {idx} is not a power of {p}")
         return d
 
     def normal_profile_count(self, p: int, u: Sequence[int]) -> int:
@@ -277,25 +277,27 @@ class CayleyGroup:
             raise ValueError("abelian_type needs an abelian group")
         if not self.is_p_group(p):
             raise ValueError("not a p-group")
-        if self.order == 1:
-            return ()
-        orders = self.element_orders()
-        jumps = []
-        i = 1
-        prev = 0
-        while True:
-            c = int((orders <= p**i).sum())
-            s = round(math.log(c, p))
-            jumps.append(s - prev)
-            prev = s
-            if c == self.order:
-                break
-            i += 1
-        # jump sequence is the conjugate partition; conjugate back
-        lam = []
-        for k in range(1, len(jumps) + 1):
-            lam.extend([k] * (jumps[k - 1] - (jumps[k] if k < len(jumps) else 0)))
-        return tuple(sorted(lam, reverse=True))
+        return abelian_type_of_orders(self.element_orders(), p)
+
+
+def abelian_type_of_orders(orders: np.ndarray, p: int) -> Tuple[int, ...]:
+    """Type lambda of an abelian p-group, given the orders of its elements.
+
+    The ranks of the layers {x : x^(p^i) = 1} grow by the parts of the
+    conjugate partition, so lambda is the conjugate of that jump sequence.
+    """
+    jumps = []
+    prev = 0
+    i = 1
+    while True:
+        c = int((orders <= p**i).sum())
+        s = round(math.log(c, p)) if c > 1 else 0
+        jumps.append(s - prev)
+        prev = s
+        if c == orders.size:
+            break
+        i += 1
+    return Partition(jumps).conjugate().parts
 
 
 # ---------------------------------------------------------------------------

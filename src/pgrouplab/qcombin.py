@@ -186,7 +186,8 @@ def gauss_binom(n: int, k: int, q: int) -> int:
     for i in range(1, k + 1):
         out *= q ** (n - k + i) - 1
         div, rem = divmod(out, q**i - 1)
-        assert rem == 0, "q-binomial partial product not divisible"
+        if rem:
+            raise ArithmeticError("q-binomial partial product not divisible")
         out = div
     return out
 

@@ -8,9 +8,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Sequence, Tuple
-
-import numpy as np
+from typing import Dict, Iterator, Sequence, Tuple
 
 from .fplin import (
     is_invertible,
@@ -24,6 +22,7 @@ from .fplin import (
     rref,
 )
 from .qcombin import BoundReal, Partition, c_series, d_series, galois_number, gauss_binom
+from .groups.cayley import abelian_type_of_orders
 from .groups.families import abelian_of_type
 
 ORACLE_ORDER_GUARD = 4096
@@ -88,25 +87,7 @@ def abelian_subgroup_type_census(p: int, lam) -> Dict[Tuple[int, ...], int]:
     orders = g.element_orders()
     census: Dict[Tuple[int, ...], int] = {}
     for sub in g.all_subgroups(guard=order):
-        sub_orders = orders[sub]
-        jumps = []
-        prev = 0
-        i = 1
-        if sub.size == 1:
-            census[()] = census.get((), 0) + 1
-            continue
-        while True:
-            c = int((sub_orders <= p**i).sum())
-            s = round(math.log(c, p)) if c > 1 else 0
-            jumps.append(s - prev)
-            prev = s
-            if c == sub.size:
-                break
-            i += 1
-        typ: List[int] = []
-        for k in range(1, len(jumps) + 1):
-            typ.extend([k] * (jumps[k - 1] - (jumps[k] if k < len(jumps) else 0)))
-        t = tuple(sorted(typ, reverse=True))
+        t = abelian_type_of_orders(orders[sub], p)
         census[t] = census.get(t, 0) + 1
     _census_cache[key] = census
     return census
@@ -152,7 +133,7 @@ def _vector_annihilator(g: tuple, v: tuple, p: int) -> tuple:
     for row in red:
         piv = next(i for i, x in enumerate(row) if x)
         if piv == k:
-            raise AssertionError("inconsistent Krylov solve")
+            raise ArithmeticError("inconsistent Krylov solve")
         coeffs[piv] = row[k]
     # g^k v = sum coeffs_j g^j v  ->  minimal poly t^k - sum coeffs_j t^j
     poly = [(-c) % p for c in coeffs] + [1]
@@ -176,7 +157,8 @@ def _poly_lcm(a, b, p: int) -> tuple:
         return tuple(a)
     g = _poly_gcd(a, b, p)
     q, r = poly_divmod(poly_mul(a, b, p), g, p)
-    assert not r
+    if r:
+        raise ArithmeticError("gcd does not divide the product")
     inv = pow(q[-1], -1, p)
     return tuple((x * inv) % p for x in q)
 
@@ -228,7 +210,8 @@ def decompose(g: tuple, p: int) -> PrimaryDecomposition:
             while not r:
                 rest = q
                 q, r = poly_divmod(rest, f, p)
-    assert len(rest) == 1, "minimal polynomial did not factor completely"
+    if len(rest) != 1:
+        raise ArithmeticError("minimal polynomial did not factor completely")
     comps = []
     for f in factors:
         deg = len(f) - 1
@@ -242,16 +225,15 @@ def decompose(g: tuple, p: int) -> PrimaryDecomposition:
             if ker == prev:
                 break
             step, rem = divmod(ker - prev, deg)
-            assert rem == 0, "kernel jump not divisible by factor degree"
+            if rem:
+                raise ArithmeticError("kernel jump not divisible by factor degree")
             jumps.append(step)
             prev = ker
-        mu: List[int] = []
-        for k in range(1, len(jumps) + 1):
-            mu.extend([k] * (jumps[k - 1] - (jumps[k] if k < len(jumps) else 0)))
-        comps.append((tuple(f), Partition(sorted(mu, reverse=True))))
+        comps.append((tuple(f), Partition(jumps).conjugate()))
     dec = PrimaryDecomposition(tuple(sorted(comps)), p, m)
     total = sum(deg_mu(f, mu) for f, mu in dec.components)
-    assert total == m, "component dimensions do not add up"
+    if total != m:
+        raise ArithmeticError("component dimensions do not add up")
     return dec
 
 

@@ -254,7 +254,8 @@ def _check_mersenne(t: int) -> int:
     if t not in MERSENNE_T:
         raise ValueError(f"2^{t}-1 is not one of the supported primes")
     p = 2**t - 1
-    assert _is_prime(p)
+    if not _is_prime(p):
+        raise ArithmeticError(f"2^{t}-1 is listed as prime but is not")
     return p
 
 

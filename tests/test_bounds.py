@@ -214,3 +214,8 @@ def test_fnormal_single_active_term():
     rep = bd.fnormal_bound(3, 3, 3, [0, 1])
     manual = d_series(3).value ** 2 * 3 ** 13
     assert abs(rep.value - manual) / manual < 1e-9
+
+
+def test_sqrtnum_rejects_mismatched_primes():
+    with pytest.raises(ValueError):
+        bd.SqrtNum.one(2) + bd.SqrtNum.one(3)

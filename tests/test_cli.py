@@ -120,3 +120,27 @@ def test_census_outputs_byte_identical(tmp_path, capsys):
         (tmp_path / "a.csv.manifest.json").read_bytes()
         == (tmp_path / "b.csv.manifest.json").read_bytes()
     )
+
+
+def _truncated_catalog(tmp_path):
+    # the header promises eight table rows; only five follow
+    path = tmp_path / "truncated.cat"
+    write_catalog(str(path), [("D8", dihedral(8), 2)])
+    path.write_text("".join(path.read_text().splitlines(keepends=True)[:6]))
+    return str(path)
+
+
+@pytest.mark.parametrize("args", [
+    ["walk", "--a", "1,2;3", "--d", "2", "--p", "5", "--n", "3"],
+    ["walk", "--p", "4", "--d", "2", "--a", "2", "--n", "3"],
+    ["census", "--p", "2", "--k", "3", "--catalog", "TRUNCATED"],
+    ["bounds", "--kind", "nope"],
+    ["orbits", "--d", "2", "--p", "3", "--module", "nope"],
+    ["walk", "--p", "5", "--d", "2", "--a", "2", "--n", "3", "--mode", "nope"],
+])
+def test_malformed_input_exits_2_with_failure_list(tmp_path, capsys, args):
+    args = [_truncated_catalog(tmp_path) if a == "TRUNCATED" else a for a in args]
+    code, out = run(args, capsys)
+    assert code == 2
+    failures = json.loads(out.strip().splitlines()[-1])["failures"]
+    assert isinstance(failures, list) and failures

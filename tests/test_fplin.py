@@ -7,8 +7,8 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from pgrouplab import fplin as fp
-from pgrouplab.fplin import SmallField
 from pgrouplab.qcombin import galois_number
+from smallfield import SmallField
 
 
 def random_matrix(rng, m, p):
@@ -260,3 +260,10 @@ def test_small_field_axioms(q):
 def test_small_field_rejects_non_prime_power():
     with pytest.raises(ValueError):
         SmallField(6)
+
+
+def test_companion_matrix_rejects_non_monic():
+    with pytest.raises(ValueError):
+        fp.companion_matrix((1, 1, 2), 3)
+    with pytest.raises(ValueError):
+        fp.companion_matrix((1,), 3)

@@ -2,6 +2,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+import hypothesis.strategies as st
 
 from pgrouplab import groups as gr
 from pgrouplab.groups.catalog import catalog, census, fingerprint, parse_catalog, write_catalog
@@ -343,6 +345,53 @@ def test_parse_catalog_rejects_garbage(tmp_path):
     path.write_text("this is not a catalog\n")
     with pytest.raises(ValueError):
         parse_catalog(str(path))
+
+
+@pytest.mark.parametrize("p,k", [(2, 3), (3, 3), (5, 3), (2, 4)])
+def test_bundled_catalog_file_roundtrip(tmp_path, p, k):
+    # names such as "E(3^3,exp 3)" contain spaces and must survive the trip
+    entries = catalog(p, k)
+    path = str(tmp_path / "cat.txt")
+    write_catalog(path, [(name, g, p) for name, g in entries])
+    back = parse_catalog(path)
+    assert [name for name, _, _ in back] == [name for name, _ in entries]
+    for (_, g), (_, h, q) in zip(entries, back):
+        assert q == p
+        assert np.array_equal(h.table, g.table)
+        assert h.generators == list(g.generators or gr.minimal_generating_tuple(g, p))
+
+
+def _catalog_lines(tmp_path):
+    # the two order-27 groups, whose names contain spaces
+    path = tmp_path / "full.txt"
+    write_catalog(str(path), [(name, g, 3) for name, g in catalog(3, 3)[3:]])
+    return path.read_text().splitlines(keepends=True)
+
+
+def test_parse_catalog_rejects_missing_and_short_rows(tmp_path):
+    lines = _catalog_lines(tmp_path)
+    path = tmp_path / "bad.txt"
+    path.write_text("".join(lines[:6]))  # the header and 5 of 27 rows
+    with pytest.raises(ValueError, match="promises 27 table rows"):
+        parse_catalog(str(path))
+    lines[3] = " ".join(lines[3].split()[:-1]) + "\n"
+    path.write_text("".join(lines))
+    with pytest.raises(ValueError, match="length is not 27"):
+        parse_catalog(str(path))
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_parse_catalog_truncations(tmp_path_factory, data):
+    # every prefix of a valid catalog file either parses or raises ValueError
+    tmp = tmp_path_factory.mktemp("trunc")
+    text = "".join(_catalog_lines(tmp))
+    path = tmp / "cut.txt"
+    path.write_text(text[: data.draw(st.integers(0, len(text)))])
+    try:
+        parse_catalog(str(path))
+    except ValueError:
+        pass
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from pgrouplab import qcombin as qc
-from pgrouplab.fplin import SmallField, rref_field
+from smallfield import SmallField, rref_field
 
 
 # ---------------------------------------------------------------------------
