@@ -3,7 +3,8 @@
 Every command writes a JSON manifest next to its output and is deterministic
 given (arguments, seed).  Each command returns its list of failed checks, and
 `main` alone reports them: it prints the list as JSON, {"failures": [...]},
-and exits 1 when a check failed or 2 on malformed input or a tripped guard.
+and exits 1 when a check failed or 2 on malformed input, a tripped guard or
+a file that cannot be read or written.
 """
 from __future__ import annotations
 
@@ -78,7 +79,12 @@ def cmd_census(args) -> List[str]:
     guard = UNSAFE_GUARD if args.unsafe_limits else 256
     entries = None
     if args.catalog:
-        entries = [(name, g) for name, g, p in parse_catalog(args.catalog, guard=guard)]
+        entries = []
+        for name, g, p in parse_catalog(args.catalog, guard=guard):
+            if p != args.p or g.order != args.p**args.k:
+                raise ValueError(f"catalog entry {name!r} has order {g.order} and prime {p}, "
+                                 f"not order {args.p}^{args.k}")
+            entries.append((name, g))
     hits, total, rows = run_census(args.p, args.k, entries=entries)
     out_rows = [[r.name, r.aut_order, str(r.aut_is_p_group).lower()] for r in rows]
     _write_csv(args.out, ["name", "aut_order", "is_p_group"], out_rows)
@@ -348,7 +354,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         args.mode = "exact"
     try:
         failures = args.func(args)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(json.dumps({"failures": [str(exc)]}))
         return 2
     if failures:

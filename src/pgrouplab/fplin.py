@@ -186,11 +186,7 @@ def invariant_subspace_count(g: tuple, p: int, guard: int = SUBSPACE_GUARD) -> i
     m = len(g)
     if not is_invertible(g, p):
         raise ValueError("matrix is singular")
-    count = 0
-    for s in enumerate_subspaces(m, p, guard=guard):
-        if all(s.contains(mat_vec(g, v, p)) for v in s.rows):
-            count += 1
-    return count
+    return fixed_subspace_count(g, enumerate_subspaces(m, p, guard=guard), p)
 
 
 # ---------------------------------------------------------------------------
@@ -265,7 +261,7 @@ def wedge_module(d: int, p: int, guard: int = GL_GUARD) -> LinearAction:
     return LinearAction(elems, p, d + len(wedge_pairs(d)), name=f"GL({d},{p}) wedge", notes=notes)
 
 
-def fixed_subspace_count(g: tuple, subspaces: Sequence[FpSubspace], p: int) -> int:
+def fixed_subspace_count(g: tuple, subspaces: Iterable[FpSubspace], p: int) -> int:
     count = 0
     for s in subspaces:
         if all(s.contains(mat_vec(g, v, p)) for v in s.rows):

@@ -21,33 +21,30 @@ SEARCH_GUARD = 10**8
 
 
 def minimal_generating_tuple(g: CayleyGroup, p: Optional[int] = None) -> List[int]:
-    """Generators lifted from a basis of G/Frattini (p-groups) or greedy closure."""
+    """Generators lifted from a basis of G/Frattini (p-groups) or greedy closure.
+
+    Both take each element, in turn, whose image in h lies outside the span
+    of the images taken so far: h is the Frattini quotient of a p-group, with
+    elements in index order, and otherwise G itself, by descending order.
+    """
     if p is not None and g.is_p_group(p) and g.order > 1:
-        phi = g.frattini(p)
-        q, proj = quotient_group(g, phi)
-        gens: List[int] = []
-        span = np.array([q.identity], dtype=np.int32)
-        for x in range(g.order):
-            if proj[x] not in span:
-                gens.append(x)
-                span = q.closure(list(span) + [int(proj[x])])
-                if span.size == q.order:
-                    break
-        if g.closure(gens).size != g.order:
-            raise ArithmeticError("lifted Frattini-quotient basis does not generate G")
-        return gens
-    gens = []
-    span = np.array([g.identity], dtype=np.int32)
-    mask = np.zeros(g.order, dtype=bool)
-    mask[span] = True
-    for x in np.argsort(-g.element_orders(), kind="stable"):
-        if not mask[x]:
-            gens.append(int(x))
-            span = g.closure(gens)
-            mask[:] = False
-            mask[span] = True
-            if span.size == g.order:
+        h, proj = quotient_group(g, g.frattini(p))
+        scan = range(g.order)
+    else:
+        h, proj = g, np.arange(g.order)
+        scan = np.argsort(-g.element_orders(), kind="stable").tolist()
+    proj = proj.tolist()
+    whole = (1 << h.order) - 1
+    gens: List[int] = []
+    span = h._span([])
+    for x in scan:
+        if not span >> proj[x] & 1:
+            gens.append(x)
+            span = h._span([proj[y] for y in gens])
+            if span == whole:
                 break
+    if g._span(gens) != (1 << g.order) - 1:
+        raise ArithmeticError("greedy generators do not generate G")
     return gens
 
 

@@ -151,7 +151,8 @@ def parse_catalog(path: str, guard: int = 256) -> List[Tuple[str, CayleyGroup, i
     """Read the format of `write_catalog`; malformed or truncated files raise ValueError.
 
     A name may contain spaces: it is everything between "group" and the
-    trailing "order <n> prime <p>".
+    trailing "order <n> prime <p>".  A generators line must name elements of
+    the table that generate the whole group.
     """
     entries = []
     with open(path) as fh:
@@ -173,5 +174,11 @@ def parse_catalog(path: str, guard: int = 256) -> List[Tuple[str, CayleyGroup, i
         if i < len(lines) and lines[i].startswith("generators"):
             gens = [int(x) for x in lines[i].split()[1:]]
             i += 1
-        entries.append((name, CayleyGroup(np.array(rows), name=name, generators=gens, guard=guard), p))
+        g = CayleyGroup(np.array(rows), name=name, generators=gens, guard=guard)
+        if gens is not None:
+            if any(not 0 <= x < n for x in gens):
+                raise ValueError(f"catalog entry {name!r} has a generator outside 0..{n - 1}")
+            if g.closure(gens).size != n:
+                raise ValueError(f"the generators of catalog entry {name!r} do not generate it")
+        entries.append((name, g, p))
     return entries

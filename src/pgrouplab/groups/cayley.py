@@ -3,6 +3,11 @@
 Index 0..n-1 labels elements; table[i, j] is the index of the product.
 Construction always verifies the full group axioms exhaustively, so
 everything downstream can treat a CayleyGroup as trusted.
+
+Inside the class a subgroup is a Python-int bitmask (bit x set iff element x
+is in it), grown from generators by Dimino's algorithm (G. Butler,
+Fundamental Algorithms for Permutation Groups, LNCS 559, 1991, ch. 7).  The
+public methods take and return subgroups as sorted index arrays.
 """
 from __future__ import annotations
 
@@ -43,6 +48,7 @@ class CayleyGroup:
         self.identity = self._find_identity()
         self.inverse = self._find_inverses()
         self._orders: Optional[np.ndarray] = None
+        self._rows: Optional[List[List[int]]] = None  # table.tolist(), built on first closure
 
     # -- construction checks --------------------------------------------------
 
@@ -54,20 +60,13 @@ class CayleyGroup:
         ar = np.arange(n)
         if not (np.sort(t, axis=1) == ar).all() or not (np.sort(t, axis=0) == ar[:, None]).all():
             raise ValueError("table is not a Latin square")
-        if n <= 300:
-            # associativity, exhaustive, chunked over the first axis to bound memory
-            chunk = max(1, 2**22 // max(1, n * n))
-            for a0 in range(0, n, chunk):
-                rows = t[a0 : a0 + chunk]
-                left = t[rows, :]  # [a, b, c] = t[t[a0+a, b], c]
-                right = rows[:, t]  # [a, b, c] = t[a0+a, t[b, c]]
-                if not np.array_equal(left, right):
-                    raise ValueError("table is not associative")
-        else:
-            # beyond the exhaustive range: deterministic sampled triples
-            rng = np.random.default_rng(97)
-            a, b, c = (rng.integers(0, n, 200000) for _ in range(3))
-            if not np.array_equal(t[t[a, b], c], t[a, t[b, c]]):
+        # associativity, exhaustive, chunked over the first axis to bound memory
+        chunk = max(1, 2**22 // max(1, n * n))
+        for a0 in range(0, n, chunk):
+            rows = t[a0 : a0 + chunk]
+            left = t[rows, :]  # [a, b, c] = t[t[a0+a, b], c]
+            right = rows[:, t]  # [a, b, c] = t[a0+a, t[b, c]]
+            if not np.array_equal(left, right):
                 raise ValueError("table is not associative")
 
     def _find_identity(self) -> int:
@@ -129,61 +128,66 @@ class CayleyGroup:
 
     # -- subgroup machinery ------------------------------------------------------
 
+    def _span(self, gens: Iterable[int]) -> int:
+        """Bitmask of the subgroup generated by gens; bit x is set iff x is in it.
+
+        Dimino's algorithm: a generator already in the span D found so far is
+        skipped; a new one y extends D by whole right cosets D*w, one for each
+        coset representative times a generator that lands outside D.
+        """
+        if self._rows is None:
+            self._rows = self.table.tolist()
+        rows = self._rows
+        elems = [self.identity]
+        mask = 1 << self.identity
+        used: List[int] = []
+        for y in gens:
+            if mask >> y & 1:
+                continue
+            used.append(y)
+            block = elems[:]  # D; its first element is the identity
+            todo = [y]
+            while todo:
+                w = todo.pop()
+                if mask >> w & 1:
+                    continue
+                for h in block:  # the coset D*w, whose first element is w
+                    x = rows[h][w]
+                    elems.append(x)
+                    mask |= 1 << x
+                rep = rows[w]
+                todo += [rep[s] for s in used]
+        return mask
+
+    def _elements(self, mask: int) -> np.ndarray:
+        """The members of a bitmask subset, as a sorted index array."""
+        raw = np.frombuffer(mask.to_bytes((self.order + 7) // 8, "little"), dtype=np.uint8)
+        return np.flatnonzero(np.unpackbits(raw, bitorder="little")).astype(np.int32)
+
     def closure(self, gens: Iterable[int]) -> np.ndarray:
         """Subgroup generated by gens, as a sorted index array."""
-        gen_arr = np.unique(np.asarray(list(gens), dtype=np.int32).ravel())
-        current = np.unique(np.append(gen_arr, np.int32(self.identity)))
-        if gen_arr.size == 0:
-            return current
-        while True:
-            new = self.table[np.ix_(current, gen_arr)].ravel()
-            merged = np.unique(np.concatenate([current, new]))
-            if merged.size == current.size:
-                return merged
-            current = merged
-
-    def cyclic_subgroups(self) -> List[np.ndarray]:
-        seen: Dict[bytes, np.ndarray] = {}
-        for x in range(self.order):
-            s = self.closure([x])
-            seen.setdefault(s.tobytes(), s)
-        return sorted(seen.values(), key=lambda s: (s.size, s.tolist()))
-
-    def product_set(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        return np.unique(self.table[np.ix_(a, b)])
+        return self._elements(self._span([int(x) for x in gens]))
 
     def all_subgroups(self, guard: int = SUBGROUP_ORDER_GUARD) -> List[np.ndarray]:
         """Every subgroup, by closing joins of cyclic subgroups."""
         if self.order > guard:
             raise ValueError(f"group order {self.order} exceeds subgroup guard {guard}")
-        cyclics = self.cyclic_subgroups()
-        abelian = self.is_abelian()
-        found: Dict[bytes, np.ndarray] = {s.tobytes(): s for s in cyclics}
-        queue = list(cyclics)
+        cyclic: Dict[int, int] = {}  # mask of <x> -> its first generator x
+        for x in range(self.order):
+            cyclic.setdefault(self._span([x]), x)
+        found = {mask: [x] for mask, x in cyclic.items()}
+        queue = list(found.items())
         while queue:
-            h = queue.pop()
-            hmask = np.zeros(self.order, dtype=bool)
-            hmask[h] = True
-            for c in cyclics:
-                if hmask[c].all():
+            mask, gens = queue.pop()
+            for x in cyclic.values():
+                if mask >> x & 1:
                     continue
-                if abelian:
-                    j = self.product_set(h, c)
-                else:
-                    j = h
-                    gens = np.unique(np.concatenate([h, c]))
-                    while True:
-                        j2 = np.unique(
-                            np.concatenate([j, self.table[np.ix_(j, gens)].ravel()])
-                        )
-                        if j2.size == j.size:
-                            break
-                        j = j2
-                key = j.tobytes()
-                if key not in found:
-                    found[key] = j
-                    queue.append(j)
-        return sorted(found.values(), key=lambda s: (s.size, s.tolist()))
+                join = gens + [x]
+                jmask = self._span(join)
+                if jmask not in found:
+                    found[jmask] = join
+                    queue.append((jmask, join))
+        return sorted((self._elements(m) for m in found), key=lambda s: (s.size, s.tolist()))
 
     def is_normal(self, sub: np.ndarray) -> bool:
         sub = np.asarray(sub, dtype=np.int32)
@@ -220,17 +224,13 @@ class CayleyGroup:
         """G_1 >= G_2 >= ..., ending with the trivial subgroup."""
         if not self.is_p_group(p):
             raise ValueError(f"group of order {self.order} is not a {p}-group")
+        t, inv = self.table, self.inverse
         series = [np.arange(self.order, dtype=np.int32)]
-        everyone = np.arange(self.order, dtype=np.int32)
         while series[-1].size > 1:
             g_i = series[-1]
-            powers = np.array([self.power(int(x), p) for x in g_i], dtype=np.int32)
-            xy = self.table[np.ix_(g_i, everyone)]
-            comms = self.table[
-                self.table[self.inverse[g_i][:, None], self.inverse[everyone][None, :]],
-                xy,
-            ]
-            series.append(self.closure(np.concatenate([powers, comms.ravel()])))
+            powers = [self.power(int(x), p) for x in g_i]
+            comms = t[t[inv[g_i][:, None], inv[None, :]], t[g_i]]  # [x, y], x in G_i, y in G
+            series.append(self._elements(self._span(powers + comms.ravel().tolist())))
         return series
 
     def frattini(self, p: int) -> np.ndarray:
@@ -254,19 +254,11 @@ class CayleyGroup:
             raise ValueError(f"profile length {len(u)} != lower p-length {n_len}")
         count = 0
         for sub in self.normal_subgroups(guard=self.order):
+            # (N & G_i)G_{i+1}/G_{i+1} has order |N & G_i| / |N & G_{i+1}|, as G_{i+1} <= G_i
             mask = np.zeros(self.order, dtype=bool)
             mask[sub] = True
-            ok = True
-            for i in range(n_len):
-                inter = series[i][mask[series[i]]]
-                prod = self.product_set(inter, series[i + 1])
-                quot, rem = divmod(prod.size, series[i + 1].size)
-                dim = round(math.log(quot, p)) if quot > 1 else 0
-                if rem or p**dim != quot or dim != u[i]:
-                    ok = False
-                    break
-            if ok:
-                count += 1
+            sizes = [int(mask[term].sum()) for term in series]
+            count += all(sizes[i] == sizes[i + 1] * p ** u[i] for i in range(n_len))
         return count
 
     # -- abelian invariants -----------------------------------------------------------

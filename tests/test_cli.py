@@ -122,6 +122,16 @@ def test_census_outputs_byte_identical(tmp_path, capsys):
     )
 
 
+def test_census_rejects_catalog_of_another_order(tmp_path, capsys):
+    # |Aut(C2)| = 1 = 3^0, so without the check this would print 1/1
+    cat = tmp_path / "c2.cat"
+    write_catalog(str(cat), [("C2", cyclic(2), 2)])
+    for argv in (["--p", "3", "--k", "1"], ["--p", "2", "--k", "2"]):
+        code, out = run(["census"] + argv + ["--catalog", str(cat)], capsys)
+        assert code == 2
+        assert "not order" in json.loads(out.strip().splitlines()[-1])["failures"][0]
+
+
 def _truncated_catalog(tmp_path):
     # the header promises eight table rows; only five follow
     path = tmp_path / "truncated.cat"
@@ -137,9 +147,12 @@ def _truncated_catalog(tmp_path):
     ["bounds", "--kind", "nope"],
     ["orbits", "--d", "2", "--p", "3", "--module", "nope"],
     ["walk", "--p", "5", "--d", "2", "--a", "2", "--n", "3", "--mode", "nope"],
+    ["census", "--p", "2", "--k", "3", "--catalog", "MISSING/x.cat"],
+    ["census", "--p", "2", "--k", "3", "--out", "MISSING/x.csv"],
 ])
 def test_malformed_input_exits_2_with_failure_list(tmp_path, capsys, args):
     args = [_truncated_catalog(tmp_path) if a == "TRUNCATED" else a for a in args]
+    args = [a.replace("MISSING", str(tmp_path / "missing")) for a in args]
     code, out = run(args, capsys)
     assert code == 2
     failures = json.loads(out.strip().splitlines()[-1])["failures"]

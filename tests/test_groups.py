@@ -42,6 +42,18 @@ def test_order_guard():
         gr.cyclic(300)
 
 
+def test_associativity_checked_exhaustively_above_order_300():
+    # an intercalate swap in the table of C_302 keeps a Latin square with the
+    # same identity, but breaks associativity at a few thousand triples only
+    n, a, c = 302, 5, 9
+    t = (np.arange(n)[:, None] + np.arange(n)[None, :]) % n
+    gr.CayleyGroup(t, guard=400)
+    t[a, c], t[a, c + 151] = t[a, c + 151], t[a, c]
+    t[a + 151, c], t[a + 151, c + 151] = t[a + 151, c + 151], t[a + 151, c]
+    with pytest.raises(ValueError, match="not associative"):
+        gr.CayleyGroup(t, guard=400)
+
+
 def test_constructor_invariants():
     d8 = gr.dihedral(8)
     assert d8.order == 8 and d8.center().size == 2
@@ -185,6 +197,54 @@ def test_subgroup_counts():
     assert len(q8.normal_subgroups()) == 6
     d8 = gr.dihedral(8)
     assert len(d8.normal_subgroups()) < len(d8.all_subgroups())
+
+
+def _divisors(n):
+    return [d for d in range(1, n + 1) if n % d == 0]
+
+
+@pytest.mark.parametrize("m", range(3, 65))
+def test_dihedral_subgroup_count(m):
+    # D_2m has tau(m) cyclic subgroups of rotations and sigma(m) others
+    assert len(gr.dihedral(2 * m).all_subgroups()) == len(_divisors(m)) + sum(_divisors(m))
+
+
+@pytest.mark.parametrize("order", [8, 16, 32, 64, 128])
+def test_quaternion_subgroup_count(order):
+    # the dicyclic group of order 4n has tau(2n) + sigma(n) subgroups
+    n = order // 4
+    assert len(gr.quaternion(order).all_subgroups()) == len(_divisors(2 * n)) + sum(_divisors(n))
+
+
+def _relabel(g, perm):
+    inv = np.argsort(perm)
+    return gr.CayleyGroup(perm[g.table[inv][:, inv]], name=g.name)
+
+
+def _closure_oracle(table, gens, identity):
+    # fixed point of S u {e} under products, straight from the table
+    span = set(gens) | {identity}
+    while True:
+        more = {int(table[x, y]) for x in span for y in span} - span
+        if not more:
+            return sorted(span)
+        span |= more
+
+
+_CLOSURE_GROUPS = [g for _, g, _ in small_catalog_groups(max_order=27)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_closure_matches_product_fixed_point(data):
+    g = data.draw(st.sampled_from(_CLOSURE_GROUPS))
+    perm = np.array(data.draw(st.permutations(range(g.order))))
+    h = _relabel(g, perm)
+    gens = data.draw(st.lists(st.integers(0, h.order - 1), max_size=4))
+    want = _closure_oracle(h.table, gens, h.identity)
+    got = h.closure(gens)
+    assert got.dtype == np.int32
+    assert got.tolist() == want
 
 
 def test_normal_profile_counts():
@@ -359,6 +419,16 @@ def test_bundled_catalog_file_roundtrip(tmp_path, p, k):
         assert q == p
         assert np.array_equal(h.table, g.table)
         assert h.generators == list(g.generators or gr.minimal_generating_tuple(g, p))
+
+
+def test_parse_catalog_checks_generators(tmp_path):
+    path = tmp_path / "c4.cat"
+    write_catalog(str(path), [("C4", gr.cyclic(4), 2)])
+    lines = path.read_text().splitlines()
+    for gens, match in (("7", "outside 0..3"), ("-1", "outside 0..3"), ("0 2", "do not generate")):
+        path.write_text("\n".join(lines[:-1] + ["generators " + gens]) + "\n")
+        with pytest.raises(ValueError, match=match):
+            parse_catalog(str(path))
 
 
 def _catalog_lines(tmp_path):
