@@ -133,13 +133,26 @@ def _log_bigint(x: int) -> float:
 class PowSum:
     """Exact finite sum of c_k * p^(k/2), stored as parallel (k, c) arrays.
 
-    Coefficients are term-multiplicity counts, far below 2^53, so the float64
-    bincount merges stay exact.
+    Coefficients are term-multiplicity counts.  `from_terms` merges them with
+    a float64 bincount, which is exact only below 2^53, so it raises
+    ArithmeticError for a merged count that reaches 2^53.
     """
 
     p: int
     exps: "np.ndarray"  # half-unit exponents, int64, strictly increasing
     counts: "np.ndarray"  # positive int64
+
+    @classmethod
+    def from_terms(cls, p: int, exps: "np.ndarray", counts: "np.ndarray") -> "PowSum":
+        """Merge terms c * p^(k/2) given in any order, with repeated exponents."""
+        lo = int(exps.min())
+        merged = np.bincount(exps - lo, weights=counts.astype(np.float64))
+        # every partial sum of a bin is at most its total, so a total below
+        # 2^53 was summed exactly, and one at or above it shows as such
+        if merged.max() >= 2.0**53:
+            raise ArithmeticError("PowSum count reached 2^53, beyond exact float64 merging")
+        nz = np.flatnonzero(merged)
+        return cls(p, (nz + lo).astype(np.int64), merged[nz].astype(np.int64))
 
     def log_p(self) -> float:
         if self.exps.size == 0:
@@ -193,12 +206,7 @@ def gaussprods_tables(p: int, d: int, n: int) -> Dict[int, List[PowSum]]:
             if not exp_chunks:
                 vec.append(PowSum(p, np.array([], dtype=np.int64), np.array([], dtype=np.int64)))
                 continue
-            exps = np.concatenate(exp_chunks)
-            cnts = np.concatenate(cnt_chunks)
-            lo = int(exps.min())
-            merged = np.bincount(exps - lo, weights=cnts.astype(np.float64))
-            nz = np.flatnonzero(merged)
-            vec.append(PowSum(p, (nz + lo).astype(np.int64), merged[nz].astype(np.int64)))
+            vec.append(PowSum.from_terms(p, np.concatenate(exp_chunks), np.concatenate(cnt_chunks)))
         tables[j] = vec
     return tables
 

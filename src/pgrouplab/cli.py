@@ -227,6 +227,10 @@ def cmd_walk(args) -> List[str]:
             rows.append([k, f"{tv:.12g}", f"{chi:.12g}", f"{ub:.12g}" if ub != "" else ""])
         print(f"TV {float(rows[-1][1]):.4f}")
     elif args.mode == "mc":
+        if args.trials < spec.n_states:
+            print(f"warning: {args.trials} trials for {spec.n_states} states "
+                  f"({args.trials / spec.n_states:.3g} per state); the Monte-Carlo TV "
+                  f"mostly measures sampling noise", file=sys.stderr)
         dist = walk.monte_carlo(spec, args.n, args.trials, args.seed)
         tv = walk.tv_distance(dist)
         rows.append([args.n, f"{tv:.12g}", "", ""])

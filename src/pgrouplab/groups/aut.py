@@ -1,14 +1,33 @@
-"""Brute-force automorphism machinery and closed-form Aut orders.
+"""Automorphism counts, isomorphism tests and closed-form Aut orders.
 
-The search walks generator-image tuples, extending a partial map over the
-subgroup generated so far and pruning on order mismatch, dependence modulo
-the Frattini subgroup, and homomorphism violations.  Candidate images at one
-level are processed as a numpy batch, which keeps the per-candidate cost to
-a few vectorized table lookups.
+An isomorphism G -> T is fixed by the images of a generating tuple
+g_1, ..., g_d of G, lifted from a basis of G/Frattini for a p-group.  The
+search set-up is built once per pair (G, T): the tuple, a breadth-first
+derivation of each element of H_{k+1} = <g_1, ..., g_{k+1}> from H_k, the
+homomorphism checks each level adds, and the Frattini quotient of T.  One
+level step extends a partial map on H_k by every candidate image of g_{k+1}
+as a numpy batch and keeps the maps that are injective homomorphisms on
+H_{k+1}.  Candidates are pruned on element order and, for p-groups, on
+dependence modulo the Frattini subgroup.
+
+|Aut(G)| is not found by listing automorphisms.  With S_k the stabiliser of
+g_1, ..., g_k in Aut(G), it is the product over k of the orbit lengths
+|g_{k+1}^{S_k}| (orbit-stabiliser along the chain S_0 >= ... >= S_d = 1).
+The orbit at level k is the set of candidates x for which (g_1, ..., g_k, x)
+extends to an automorphism, and the last level's orbit is just its
+candidates.  The levels are counted from the last one up.  An earlier
+candidate is decided by one depth-first search for an extension; each
+automorphism found fixes g_1, ..., g_k and so is a Schreier generator of
+every level counted after it.  The images of known orbit points under the
+generators found so far are in the orbit, and the images of failed
+candidates fail, with no further search (G. Butler, Fundamental Algorithms
+for Permutation Groups, LNCS 559, 1991).  A guard caps the search nodes,
+one per candidate image tried, and `aut_group` lists at most 10^5
+automorphisms.
 """
 from __future__ import annotations
 
-import math
+import re
 from fractions import Fraction
 from typing import List, Optional, Sequence
 
@@ -17,18 +36,32 @@ import numpy as np
 from ..qcombin import Partition
 from .cayley import CayleyGroup, quotient_group
 
-SEARCH_GUARD = 10**8
+NODE_GUARD = 10**7  # candidate images tried, over one whole search
+LIST_GUARD = 10**5  # automorphisms aut_group will list
 
 
 def minimal_generating_tuple(g: CayleyGroup, p: Optional[int] = None) -> List[int]:
-    """Generators lifted from a basis of G/Frattini (p-groups) or greedy closure.
+    """Generators lifted from a basis of G/Frattini (p-groups) or greedy closure."""
+    return _generating_tuple(g, _frattini_quotient(g, p))
 
-    Both take each element, in turn, whose image in h lies outside the span
-    of the images taken so far: h is the Frattini quotient of a p-group, with
-    elements in index order, and otherwise G itself, by descending order.
+
+def _frattini_quotient(g: CayleyGroup, p: Optional[int]):
+    """(G/Frattini, projection) for a nontrivial p-group; None otherwise."""
+    if p is None or not g.is_p_group(p) or g.order == 1:
+        return None
+    phi = g.frattini(p)
+    if phi.size == 1:  # G is elementary abelian and already its own quotient
+        return g, np.arange(g.order, dtype=np.int32)
+    return quotient_group(g, phi)
+
+
+def _generating_tuple(g: CayleyGroup, quotient) -> List[int]:
+    """Take each element, in turn, whose image in h lies outside the span of
+    the images taken so far: h is the Frattini quotient when one is given,
+    with elements in index order, and otherwise G itself, by descending order.
     """
-    if p is not None and g.is_p_group(p) and g.order > 1:
-        h, proj = quotient_group(g, g.frattini(p))
+    if quotient is not None:
+        h, proj = quotient
         scan = range(g.order)
     else:
         h, proj = g, np.arange(g.order)
@@ -67,132 +100,185 @@ def _bfs_schedule(g: CayleyGroup, gens: Sequence[int], known: np.ndarray):
     return np.flatnonzero(mask).astype(np.int32), schedule
 
 
-def _search(
-    g: CayleyGroup,
-    target: CayleyGroup,
-    p: Optional[int],
-    count_only: bool = False,
-    find_one: bool = False,
-    guard: int = SEARCH_GUARD,
-):
-    """Isomorphisms g -> target as permutation arrays (or their count)."""
-    if g.order != target.order:
-        return 0 if count_only else []
-    gens = minimal_generating_tuple(g, p)
-    d = len(gens)
-    if g.order > 1 and g.order**d > guard:
-        raise ValueError(f"search space {g.order}^{d} exceeds guard {guard}")
-    if d == 0:
-        perm = np.array([target.identity], dtype=np.int32)
-        return 1 if count_only else [perm]
+class _Search:
+    """Isomorphisms g -> target by generator images, set up once per pair.
 
-    orders_g = g.element_orders()
-    orders_t = target.element_orders()
-    use_frattini = (
-        p is not None and g.is_p_group(p) and target.is_p_group(p)
-    )
-    if use_frattini:
-        phi_t = target.frattini(p)
-        qt, proj_t = quotient_group(target, phi_t)
-        if round(math.log(target.order // phi_t.size, p) if phi_t.size < target.order else 0) != d:
-            return 0 if count_only else []
-        # the Frattini quotient is elementary abelian, so a span extension is
-        # one product set, not an iterated closure; a one-generator search
-        # never extends a span
-        qt_cyc = [qt.closure([x]) for x in range(qt.order)] if d > 1 else []
-    else:
-        qt, proj_t = None, None
+    The pair must have equal orders.  `feasible` is False when a Frattini
+    rank already rules every isomorphism out.
+    """
 
-    members: List[np.ndarray] = []
-    schedules = []
-    check_x: List[np.ndarray] = []  # domain points x of the per-level hom checks
-    check_j: List[np.ndarray] = []  # generator position paired with each x
-    check_xg: List[np.ndarray] = []  # precomputed x * g_j
-    known = np.array([g.identity], dtype=np.int32)
-    gens_arr = np.array(gens, dtype=np.int32)
-    for k in range(d):
-        mem, sched = _bfs_schedule(g, gens[: k + 1], known)
-        members.append(mem)
-        schedules.append(sched)
-        # parent levels already verified (x in H_k, j <= k); the new pairs are
-        # (x in H_{k+1}, j = k) and (x newly added, j < k)
-        new = np.array([e for e, _, _ in sched], dtype=np.int32)
-        xs = [mem]
-        js = [np.full(mem.size, k, dtype=np.int32)]
-        if k and new.size:
-            xs.append(np.repeat(new, k))
-            js.append(np.tile(np.arange(k, dtype=np.int32), new.size))
-        x_arr = np.concatenate(xs)
-        j_arr = np.concatenate(js)
-        check_x.append(x_arr)
-        check_j.append(j_arr)
-        check_xg.append(g.table[x_arr, gens_arr[j_arr]])
-        known = mem
-    if members[-1].size != g.order:
-        raise ArithmeticError("generator chain does not reach the whole group")
+    def __init__(self, g: CayleyGroup, target: CayleyGroup, p: Optional[int], guard: int):
+        self.n = g.order
+        self.table_t = target.table
+        self.guard = guard
+        self.nodes = 0
+        quotient = _frattini_quotient(g, p)
+        self.gens = gens = _generating_tuple(g, quotient)
+        self.d = d = len(gens)
+        orders_g = g.element_orders()
+        orders_t = target.element_orders()
+        self.order_ok = [orders_t == orders_g[x] for x in gens]
+        self.feasible = True
+        self.qt = self.proj_t = self.span0 = None
+        if quotient is not None:  # g, and so target, is a nontrivial p-group
+            self.qt, self.proj_t = quotient if target is g else _frattini_quotient(target, p)
+            self.feasible = self.qt.order == p**d
+            self.span0 = np.zeros(self.qt.order, dtype=bool)
+            self.span0[self.qt.identity] = True
+            # the Frattini quotient is elementary abelian, so a span extension is
+            # one product set, not an iterated closure; a one-generator search
+            # never extends a span
+            self.qt_cyc = [self.qt.closure([x]) for x in range(self.qt.order)] if d > 1 else []
 
-    table_t = target.table
-    results: List[np.ndarray] = []
-    state = {"count": 0, "stop": False}
+        self.members: List[np.ndarray] = []  # H_{k+1}
+        self.schedules = []  # derivations (element, parent, gen_pos) of H_{k+1} \ H_k
+        self.check_x: List[np.ndarray] = []  # domain points x of the per-level hom checks
+        self.check_j: List[np.ndarray] = []  # generator position paired with each x
+        self.check_xg: List[np.ndarray] = []  # precomputed x * g_j
+        known = np.array([g.identity], dtype=np.int32)
+        self.gens_arr = np.array(gens, dtype=np.int32)
+        for k in range(d):
+            mem, sched = _bfs_schedule(g, gens[: k + 1], known)
+            self.members.append(mem)
+            self.schedules.append(sched)
+            # parent levels already verified (x in H_k, j < k); the new pairs are
+            # (x in H_{k+1}, j = k) and (x newly added, j < k)
+            new = np.array([e for e, _, _ in sched], dtype=np.int32)
+            xs = [mem]
+            js = [np.full(mem.size, k, dtype=np.int32)]
+            if k and new.size:
+                xs.append(np.repeat(new, k))
+                js.append(np.tile(np.arange(k, dtype=np.int32), new.size))
+            x_arr = np.concatenate(xs)
+            j_arr = np.concatenate(js)
+            self.check_x.append(x_arr)
+            self.check_j.append(j_arr)
+            self.check_xg.append(g.table[x_arr, self.gens_arr[j_arr]])
+            known = mem
+        if known.size != g.order:
+            raise ArithmeticError("generator chain does not reach the whole group")
+        self.img0 = np.full(g.order, -1, dtype=np.int32)
+        self.img0[g.identity] = target.identity
 
-    img0 = np.full(g.order, -1, dtype=np.int32)
-    img0[g.identity] = target.identity
-    if use_frattini:
-        span0 = np.zeros(qt.order, dtype=bool)
-        span0[qt.identity] = True
-    else:
-        span0 = None
+    def fixed_prefix(self, k: int):
+        """The map fixing H_k pointwise and its Frattini span (k = 0: the search root).
 
-    def recurse(k: int, img: np.ndarray, span_mask):
-        if state["stop"]:
-            return
-        cand_mask = orders_t == orders_g[gens[k]]
-        if use_frattini:
-            cand_mask &= ~span_mask[proj_t]
-        cands = np.flatnonzero(cand_mask).astype(np.int32)
-        if cands.size == 0:
-            return
-        c = cands.size
-        imgs = np.repeat(img[None, :], c, axis=0)
-        imgs[:, gens[k]] = cands
-        tcols = imgs[:, gens_arr[: k + 1]]  # (c, k+1)
-        for elt, parent, pos in schedules[k]:
+        Only an automorphism search (target is g) has a fixed prefix for k > 0.
+        """
+        img = self.img0.copy()
+        if k:
+            img[self.members[k - 1]] = self.members[k - 1]
+        span = self.span0
+        for x in self.gens[:k]:
+            span = self.extend(span, x)
+        return img, span
+
+    def extend(self, span, x: int):
+        """The Frattini span once x is the image of the next generator."""
+        if span is None:
+            return None
+        new = span.copy()
+        prod = self.qt.table[np.ix_(np.flatnonzero(span), self.qt_cyc[int(self.proj_t[x])])]
+        new[prod.ravel()] = True
+        return new
+
+    def step(self, k: int, img: np.ndarray, span):
+        """Images x of g_{k+1} that extend img (a map on H_k) to an injective
+        homomorphism on H_{k+1}, and those extended maps, one row each."""
+        cand = self.order_ok[k]
+        if span is not None:
+            cand = cand & ~span[self.proj_t]
+        xs = np.flatnonzero(cand).astype(np.int32)
+        self.nodes += xs.size
+        if self.nodes > self.guard:
+            raise ValueError(
+                f"search nodes {_sci(self.nodes)} of {_sci(self.guard)}: the Aut(G) search exceeds its guard"
+            )
+        table_t = self.table_t
+        imgs = np.repeat(img[None, :], xs.size, axis=0)
+        imgs[:, self.gens[k]] = xs
+        tcols = imgs[:, self.gens_arr[: k + 1]]  # (c, k+1)
+        for elt, parent, pos in self.schedules[k]:
             imgs[:, elt] = table_t[imgs[:, parent], tcols[:, pos]]
-        lhs = imgs[:, check_xg[k]]
-        rhs = table_t[imgs[:, check_x[k]], tcols[:, check_j[k]]]
+        lhs = imgs[:, self.check_xg[k]]
+        rhs = table_t[imgs[:, self.check_x[k]], tcols[:, self.check_j[k]]]
         ok = (lhs == rhs).all(axis=1)
-        srt = np.sort(imgs[:, members[k]], axis=1)
+        srt = np.sort(imgs[:, self.members[k]], axis=1)
         ok &= (srt[:, 1:] != srt[:, :-1]).all(axis=1)
-        good = np.flatnonzero(ok)
-        if k + 1 == d:
-            if count_only:
-                state["count"] += int(good.size)
-            else:
-                for idx in good:
-                    results.append(imgs[idx].copy())
-            if find_one and good.size:
-                state["stop"] = True
+        return xs[ok], imgs[ok]
+
+    def extensions(self, k: int, img: np.ndarray, span):
+        """Every isomorphism that extends img (a map on H_k), lazily, in search order."""
+        if k == self.d:
+            yield img
             return
-        for idx in good:
-            if use_frattini:
-                new_span = span_mask.copy()
-                prod = qt.table[
-                    np.ix_(np.flatnonzero(span_mask), qt_cyc[int(proj_t[cands[idx]])])
-                ]
-                new_span[prod.ravel()] = True
+        xs, imgs = self.step(k, img, span)
+        for x, row in zip(xs.tolist(), imgs):
+            yield from self.extensions(k + 1, row, self.extend(span, x) if k + 1 < self.d else None)
+
+
+def _sci(n: int) -> str:
+    """A count in the short form 1.2e5, for guard messages."""
+    return re.sub(r"e\+0*", "e", f"{n:.2g}")
+
+
+def _orbit(points: np.ndarray, perms: np.ndarray) -> np.ndarray:
+    """Close a boolean point set under the permutations in the rows of perms."""
+    while True:
+        grown = points.copy()
+        grown[perms[:, points]] = True
+        if np.array_equal(grown, points):
+            return points
+        points = grown
+
+
+def _chain_order(s: _Search) -> int:
+    """|Aut(G)| as the product of the orbit lengths |g_{k+1}^{S_k}|, last level first."""
+    n = s.n
+    order = 1
+    schreier = np.empty((0, n), dtype=np.int32)  # automorphisms found; each fixes H_k
+    for k in reversed(range(s.d)):
+        img, span = s.fixed_prefix(k)
+        xs, imgs = s.step(k, img, span)
+        if k + 1 == s.d:
+            order *= xs.size  # every candidate left is an automorphism
+            schreier = imgs
+            continue
+        valid = np.zeros(n, dtype=bool)
+        valid[s.gens[k]] = True
+        valid = _orbit(valid, schreier)
+        failed = np.zeros(n, dtype=bool)
+        for x, row in zip(xs.tolist(), imgs):
+            if valid[x] or failed[x]:
+                continue
+            phi = next(s.extensions(k + 1, row, s.extend(span, x)), None)
+            if phi is None:
+                failed[x] = True
             else:
-                new_span = None
-            recurse(k + 1, imgs[idx], new_span)
-            if state["stop"]:
-                return
+                schreier = np.vstack([schreier, phi])
+                valid[x] = True
+                valid = _orbit(valid, schreier)
+            failed = _orbit(failed, schreier)
+        cand = np.zeros(n, dtype=bool)
+        cand[xs] = True
+        if (valid & ~cand).any():
+            raise ArithmeticError("a Schreier generator moved the orbit off the candidates")
+        order *= int(valid.sum())
+    return order
 
-    recurse(0, img0, span0)
-    return state["count"] if count_only else results
 
+def aut_group(g: CayleyGroup, p: Optional[int] = None, guard: int = LIST_GUARD) -> List[np.ndarray]:
+    """All automorphisms as permutation arrays, each verified on construction.
 
-def aut_group(g: CayleyGroup, p: Optional[int] = None) -> List[np.ndarray]:
-    """All automorphisms as permutation arrays, each verified on construction."""
-    auts = _search(g, g, p)
+    Raises ValueError when |Aut(G)| exceeds guard, before listing any.
+    """
+    s = _Search(g, g, p, NODE_GUARD)
+    n = _chain_order(s)
+    if n > guard:
+        raise ValueError(f"|Aut(G)| = {n} exceeds the listing guard {guard}")
+    auts = list(s.extensions(0, *s.fixed_prefix(0)))
+    if len(auts) != n:
+        raise ArithmeticError("automorphism search and stabiliser chain disagree on |Aut(G)|")
     for phi in auts:
         if not np.array_equal(np.sort(phi), np.arange(g.order)):
             raise ArithmeticError("automorphism search returned a non-bijection")
@@ -201,8 +287,9 @@ def aut_group(g: CayleyGroup, p: Optional[int] = None) -> List[np.ndarray]:
     return auts
 
 
-def aut_order(g: CayleyGroup, p: Optional[int] = None) -> int:
-    return _search(g, g, p, count_only=True)
+def aut_order(g: CayleyGroup, p: Optional[int] = None, guard: int = NODE_GUARD) -> int:
+    """|Aut(G)| along a stabiliser chain; ValueError past guard search nodes."""
+    return _chain_order(_Search(g, g, p, guard))
 
 
 def aut_is_p_group(g: CayleyGroup, p: int) -> bool:
@@ -212,7 +299,9 @@ def aut_is_p_group(g: CayleyGroup, p: int) -> bool:
     return n == 1
 
 
-def are_isomorphic(a: CayleyGroup, b: CayleyGroup, p: Optional[int] = None) -> bool:
+def are_isomorphic(
+    a: CayleyGroup, b: CayleyGroup, p: Optional[int] = None, guard: int = NODE_GUARD
+) -> bool:
     if a.order != b.order:
         return False
     if sorted(a.element_orders()) != sorted(b.element_orders()):
@@ -221,7 +310,8 @@ def are_isomorphic(a: CayleyGroup, b: CayleyGroup, p: Optional[int] = None) -> b
         return False
     if a.is_abelian() != b.is_abelian():
         return False
-    return bool(_search(a, b, p, find_one=True))
+    s = _Search(a, b, p, guard)
+    return s.feasible and next(s.extensions(0, *s.fixed_prefix(0)), None) is not None
 
 
 def frattini_action_kernel_order(g: CayleyGroup, p: int, auts: Sequence[np.ndarray]) -> int:

@@ -49,6 +49,7 @@ class CayleyGroup:
         self.inverse = self._find_inverses()
         self._orders: Optional[np.ndarray] = None
         self._rows: Optional[List[List[int]]] = None  # table.tolist(), built on first closure
+        self._normals: Optional[List[np.ndarray]] = None  # read-only, built on first request
 
     # -- construction checks --------------------------------------------------
 
@@ -168,10 +169,13 @@ class CayleyGroup:
         """Subgroup generated by gens, as a sorted index array."""
         return self._elements(self._span([int(x) for x in gens]))
 
-    def all_subgroups(self, guard: int = SUBGROUP_ORDER_GUARD) -> List[np.ndarray]:
-        """Every subgroup, by closing joins of cyclic subgroups."""
+    def _subgroup_guard(self, guard: int):
         if self.order > guard:
             raise ValueError(f"group order {self.order} exceeds subgroup guard {guard}")
+
+    def all_subgroups(self, guard: int = SUBGROUP_ORDER_GUARD) -> List[np.ndarray]:
+        """Every subgroup, by closing joins of cyclic subgroups."""
+        self._subgroup_guard(guard)
         cyclic: Dict[int, int] = {}  # mask of <x> -> its first generator x
         for x in range(self.order):
             cyclic.setdefault(self._span([x]), x)
@@ -200,7 +204,13 @@ class CayleyGroup:
         return bool(mask[conj].all())
 
     def normal_subgroups(self, guard: int = SUBGROUP_ORDER_GUARD) -> List[np.ndarray]:
-        return [s for s in self.all_subgroups(guard=guard) if self.is_normal(s)]
+        """Every normal subgroup, as read-only arrays enumerated once per group."""
+        self._subgroup_guard(guard)
+        if self._normals is None:
+            self._normals = [s for s in self.all_subgroups(guard=self.order) if self.is_normal(s)]
+            for s in self._normals:
+                s.flags.writeable = False
+        return list(self._normals)
 
     def center(self) -> np.ndarray:
         t = self.table

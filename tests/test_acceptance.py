@@ -294,7 +294,7 @@ def test_criterion_10_walk_suite():
 def test_criterion_11_closed_form_aut_orders():
     bad = []
     checked = 0
-    # abelian groups of order <= 64, within the |G|^d(G) <= 1e8 search guard
+    # abelian groups of order <= 64 with |G|^d(G) <= 1e8, the criterion's fixed range
     primes = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61]
     for p in primes:
         size = 1

@@ -2,6 +2,7 @@ import itertools
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
@@ -219,3 +220,11 @@ def test_fnormal_single_active_term():
 def test_sqrtnum_rejects_mismatched_primes():
     with pytest.raises(ValueError):
         bd.SqrtNum.one(2) + bd.SqrtNum.one(3)
+
+
+def test_powsum_merge_refuses_inexact_counts():
+    exps = np.array([3, 1, 3], dtype=np.int64)
+    ok = bd.PowSum.from_terms(2, exps, np.array([2**52, 5, 2**52 - 1], dtype=np.int64))
+    assert ok.exps.tolist() == [1, 3] and ok.counts.tolist() == [5, 2**53 - 1]
+    with pytest.raises(ArithmeticError, match="2\\^53"):
+        bd.PowSum.from_terms(2, exps, np.array([2**52, 5, 2**52], dtype=np.int64))

@@ -157,3 +157,15 @@ def test_malformed_input_exits_2_with_failure_list(tmp_path, capsys, args):
     assert code == 2
     failures = json.loads(out.strip().splitlines()[-1])["failures"]
     assert isinstance(failures, list) and failures
+
+
+def test_walk_mc_warns_on_stderr_when_trials_are_fewer_than_states(tmp_path, capsys):
+    # p = 11, d = 2 has 121 states; 50 trials cannot resolve the distribution
+    args = ["walk", "--p", "11", "--d", "2", "--a", "2", "--n", "5", "--mc", "--seed", "3"]
+    assert cli.main(args + ["--trials", "50", "--out", str(tmp_path / "few.csv")]) == 0
+    few = capsys.readouterr()
+    assert "warning: 50 trials for 121 states" in few.err
+    assert len(few.out.splitlines()) == 1 and few.out.startswith("TV ")
+    assert cli.main(args + ["--trials", "121", "--out", str(tmp_path / "enough.csv")]) == 0
+    enough = capsys.readouterr()
+    assert enough.err == "" and enough.out.startswith("TV ")

@@ -9,6 +9,8 @@ from pgrouplab import groups as gr
 from pgrouplab.groups.catalog import catalog, census, fingerprint, parse_catalog, write_catalog
 from pgrouplab.qcombin import gauss_binom
 
+from autcount import count_automorphisms
+
 
 def small_catalog_groups(max_order=64):
     out = []
@@ -273,6 +275,30 @@ def test_profile_counts_partition_the_normal_subgroups():
         assert total == len(g.normal_subgroups())
 
 
+def test_normal_subgroups_enumerated_once_per_group(monkeypatch):
+    calls = []
+    all_subgroups = gr.CayleyGroup.all_subgroups
+
+    def counted(self, *args, **kwargs):
+        calls.append(self)
+        return all_subgroups(self, *args, **kwargs)
+
+    monkeypatch.setattr(gr.CayleyGroup, "all_subgroups", counted)
+    g = gr.semidihedral(16)
+    series = g.lower_p_series(2)
+    dims = [round(np.log2(series[i].size // series[i + 1].size)) for i in range(len(series) - 1)]
+    total = sum(g.normal_profile_count(2, list(u)) for u in itertools.product(*[range(x + 1) for x in dims]))
+    assert total == len(g.normal_subgroups())
+    assert len(calls) == 1
+    normals = g.normal_subgroups()
+    with pytest.raises(ValueError):
+        normals[0][0] = 1  # cached arrays are read-only
+    normals.clear()
+    assert len(g.normal_subgroups()) == total
+    with pytest.raises(ValueError, match="subgroup guard"):
+        g.normal_subgroups(guard=8)
+
+
 # ---------------------------------------------------------------------------
 # automorphisms
 
@@ -515,7 +541,42 @@ def test_aut_is_p_group_odd_cyclic():
     assert not gr.aut_is_p_group(gr.cyclic(27), 3)  # order 18
 
 
-def test_aut_search_guard():
-    c2_6 = gr.abelian_of_type(2, (1,) * 6)  # search space 64^6 is out of range
-    with pytest.raises(ValueError):
-        gr.aut_order(c2_6, 2)
+def test_aut_node_guard():
+    c2_4 = gr.abelian_of_type(2, (1,) * 4)
+    with pytest.raises(ValueError, match=r"search nodes \S+ of 20"):
+        gr.aut_order(c2_4, 2, guard=20)
+    with pytest.raises(ValueError, match="search nodes"):
+        gr.are_isomorphic(c2_4, c2_4, 2, guard=5)
+
+
+@pytest.mark.parametrize("p,lam", [(2, (1,) * 6), (3, (1,) * 4), (5, (1,) * 3), (2, (1,) * 5)])
+def test_aut_order_of_large_elementary_abelian_groups(p, lam):
+    # |GL(6,2)| = 20,158,709,760 is far beyond listing automorphisms one by one
+    assert gr.aut_order(gr.abelian_of_type(p, lam), p) == gr.macdonald_aut_order(lam, p)
+
+
+def _oracle_groups():
+    # the catalogs hold D8, Q8, D16 and Q16; C_n gets its prime when n is a prime power
+    out = [pytest.param(g, p, id=name) for p, k in ((2, 3), (2, 4)) for name, g in catalog(p, k)]
+    for n in range(1, 17):
+        primes = [q for q in range(2, n + 1) if n % q == 0 and all(q % r for r in range(2, q))]
+        out.append(pytest.param(gr.cyclic(n), primes[0] if len(primes) == 1 else None, id=f"cyclic{n}"))
+    return out
+
+
+@pytest.mark.parametrize("g,p", _oracle_groups())
+def test_aut_order_matches_pure_python_oracle(g, p):
+    want = count_automorphisms(g.table)
+    assert gr.aut_order(g) == want
+    if p is not None:
+        assert gr.aut_order(g, p) == want
+
+
+def test_aut_group_lists_aut_order_elements():
+    for name, g, p in small_catalog_groups(max_order=125):
+        n = gr.aut_order(g, p)
+        if n <= 10**5:
+            assert len(gr.aut_group(g, p)) == n, name
+        else:
+            with pytest.raises(ValueError, match="listing guard"):
+                gr.aut_group(g, p)
