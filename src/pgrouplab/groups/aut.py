@@ -27,7 +27,6 @@ automorphisms.
 """
 from __future__ import annotations
 
-import re
 from fractions import Fraction
 from typing import List, Optional, Sequence
 
@@ -192,7 +191,7 @@ class _Search:
         self.nodes += xs.size
         if self.nodes > self.guard:
             raise ValueError(
-                f"search nodes {_sci(self.nodes)} of {_sci(self.guard)}: the Aut(G) search exceeds its guard"
+                f"search nodes {self.nodes:.2g} of {self.guard:.2g}: the Aut(G) search exceeds its guard"
             )
         table_t = self.table_t
         imgs = np.repeat(img[None, :], xs.size, axis=0)
@@ -215,11 +214,6 @@ class _Search:
         xs, imgs = self.step(k, img, span)
         for x, row in zip(xs.tolist(), imgs):
             yield from self.extensions(k + 1, row, self.extend(span, x) if k + 1 < self.d else None)
-
-
-def _sci(n: int) -> str:
-    """A count in the short form 1.2e5, for guard messages."""
-    return re.sub(r"e\+0*", "e", f"{n:.2g}")
 
 
 def _orbit(points: np.ndarray, perms: np.ndarray) -> np.ndarray:
@@ -267,15 +261,15 @@ def _chain_order(s: _Search) -> int:
     return order
 
 
-def aut_group(g: CayleyGroup, p: Optional[int] = None, guard: int = LIST_GUARD) -> List[np.ndarray]:
+def aut_group(g: CayleyGroup, p: Optional[int] = None) -> List[np.ndarray]:
     """All automorphisms as permutation arrays, each verified on construction.
 
-    Raises ValueError when |Aut(G)| exceeds guard, before listing any.
+    Raises ValueError when |Aut(G)| exceeds LIST_GUARD, before listing any.
     """
     s = _Search(g, g, p, NODE_GUARD)
     n = _chain_order(s)
-    if n > guard:
-        raise ValueError(f"|Aut(G)| = {n} exceeds the listing guard {guard}")
+    if n > LIST_GUARD:
+        raise ValueError(f"|Aut(G)| = {n} exceeds the listing guard {LIST_GUARD}")
     auts = list(s.extensions(0, *s.fixed_prefix(0)))
     if len(auts) != n:
         raise ArithmeticError("automorphism search and stabiliser chain disagree on |Aut(G)|")
@@ -287,9 +281,9 @@ def aut_group(g: CayleyGroup, p: Optional[int] = None, guard: int = LIST_GUARD) 
     return auts
 
 
-def aut_order(g: CayleyGroup, p: Optional[int] = None, guard: int = NODE_GUARD) -> int:
-    """|Aut(G)| along a stabiliser chain; ValueError past guard search nodes."""
-    return _chain_order(_Search(g, g, p, guard))
+def aut_order(g: CayleyGroup, p: Optional[int] = None) -> int:
+    """|Aut(G)| along a stabiliser chain; ValueError past NODE_GUARD search nodes."""
+    return _chain_order(_Search(g, g, p, NODE_GUARD))
 
 
 def aut_is_p_group(g: CayleyGroup, p: int) -> bool:
@@ -299,9 +293,7 @@ def aut_is_p_group(g: CayleyGroup, p: int) -> bool:
     return n == 1
 
 
-def are_isomorphic(
-    a: CayleyGroup, b: CayleyGroup, p: Optional[int] = None, guard: int = NODE_GUARD
-) -> bool:
+def are_isomorphic(a: CayleyGroup, b: CayleyGroup, p: Optional[int] = None) -> bool:
     if a.order != b.order:
         return False
     if sorted(a.element_orders()) != sorted(b.element_orders()):
@@ -310,7 +302,7 @@ def are_isomorphic(
         return False
     if a.is_abelian() != b.is_abelian():
         return False
-    s = _Search(a, b, p, guard)
+    s = _Search(a, b, p, NODE_GUARD)
     return s.feasible and next(s.extensions(0, *s.fixed_prefix(0)), None) is not None
 
 

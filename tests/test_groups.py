@@ -6,6 +6,7 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from pgrouplab import groups as gr
+from pgrouplab.groups.aut import _chain_order, _Search
 from pgrouplab.groups.catalog import catalog, census, fingerprint, parse_catalog, write_catalog
 from pgrouplab.qcombin import gauss_binom
 
@@ -544,9 +545,10 @@ def test_aut_is_p_group_odd_cyclic():
 def test_aut_node_guard():
     c2_4 = gr.abelian_of_type(2, (1,) * 4)
     with pytest.raises(ValueError, match=r"search nodes \S+ of 20"):
-        gr.aut_order(c2_4, 2, guard=20)
+        _chain_order(_Search(c2_4, c2_4, 2, 20))
+    s = _Search(c2_4, c2_4, 2, 5)
     with pytest.raises(ValueError, match="search nodes"):
-        gr.are_isomorphic(c2_4, c2_4, 2, guard=5)
+        next(s.extensions(0, *s.fixed_prefix(0)))
 
 
 @pytest.mark.parametrize("p,lam", [(2, (1,) * 6), (3, (1,) * 4), (5, (1,) * 3), (2, (1,) * 5)])
