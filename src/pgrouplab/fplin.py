@@ -1,21 +1,23 @@
 """Dense linear algebra over F_p on tuples of tuples.
 
-Everything here is exact modular arithmetic on small matrices; the module is
-the brute-force substrate for orbit counting and invariant-subspace work, so
-clarity and canonical forms win over speed.
+Everything here is exact modular arithmetic on small matrices.  For orbit counting
+a matrix acts as a permutation of the p^m vectors (the big-endian index shared with
+`walk`) and a subspace as the mask of its vectors; RREF stays canonical form and oracle.
 """
 from __future__ import annotations
 
 import functools
 import itertools
-import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Optional, Sequence
+
+import numpy as np
 
 from .qcombin import galois_number
 
 SUBSPACE_GUARD = 10**6
 GL_GUARD = 10**6
+PERM_GUARD = 2**25  # entries of LinearAction.perms (128 MB), and dim x vectors of one element
 
 
 # ---------------------------------------------------------------------------
@@ -36,6 +38,20 @@ def mat_mul(a: tuple, b: tuple, p: int) -> tuple:
 
 def mat_vec(a: tuple, v: tuple, p: int) -> tuple:
     return tuple(sum(row[j] * v[j] for j in range(len(v))) % p for row in a)
+
+
+def state_table(p: int, d: int) -> np.ndarray:
+    return np.array(list(itertools.product(range(p), repeat=d)), dtype=np.int64)
+
+
+def _index_weights(p: int, d: int) -> np.ndarray:
+    return np.array([p ** (d - 1 - i) for i in range(d)], dtype=np.int64)
+
+
+def matrix_index_perm(m, p: int, d: int) -> np.ndarray:
+    """Permutation i -> index of M * state(i); a stack of matrices gives one row each."""
+    img = (np.array(m, dtype=np.int64) @ state_table(p, d).T) % p
+    return _index_weights(p, d) @ img
 
 
 def rref(rows: Iterable[Sequence[int]], p: int) -> tuple:
@@ -113,10 +129,6 @@ class FpSubspace:
     def contains(self, v: Sequence[int]) -> bool:
         return not any(reduce_against(v, self.rows, self.p))
 
-    def image(self, g: tuple) -> "FpSubspace":
-        rows = rref([mat_vec(g, v, self.p) for v in self.rows], self.p)
-        return FpSubspace(rows, self.ambient_dim, self.p)
-
 
 def enumerate_rref_rows(m: int, p: int, k: int) -> Iterator[tuple]:
     """All RREF bases of k-dimensional subspaces of F_p^m, each exactly once."""
@@ -181,12 +193,24 @@ def gl_enumerate(d: int, p: int, guard: int = GL_GUARD) -> list:
     return out
 
 
+def subspace_masks(m: int, p: int, guard: int = SUBSPACE_GUARD) -> np.ndarray:
+    """Row i marks the vectors of the i-th subspace of `enumerate_subspaces(m, p)`."""
+    coeffs, weights = [state_table(p, k) for k in range(m + 1)], _index_weights(p, m)
+    vectors = ((coeffs[s.dim] @ np.array(s.rows, dtype=np.int64).reshape(s.dim, m)) % p @ weights
+               for s in enumerate_subspaces(m, p, guard=guard))  # every combination of the RREF rows
+    return np.array([np.bincount(v, minlength=p**m) > 0 for v in vectors])
+
+
+def fixed_subspace_count(perm: np.ndarray, masks: np.ndarray) -> int:
+    """Number of subspaces (mask rows) that the permutation maps onto themselves."""
+    return int((masks[:, perm] == masks).all(axis=1).sum())
+
+
 def invariant_subspace_count(g: tuple, p: int, guard: int = SUBSPACE_GUARD) -> int:
     """Brute-force count of g-invariant subspaces of the natural module."""
-    m = len(g)
     if not is_invertible(g, p):
         raise ValueError("matrix is singular")
-    return fixed_subspace_count(g, enumerate_subspaces(m, p, guard=guard), p)
+    return fixed_subspace_count(matrix_index_perm(g, p, len(g)), subspace_masks(len(g), p, guard=guard))
 
 
 # ---------------------------------------------------------------------------
@@ -195,33 +219,55 @@ def invariant_subspace_count(g: tuple, p: int, guard: int = SUBSPACE_GUARD) -> i
 
 @dataclass(frozen=True)
 class LinearAction:
-    """A finite matrix group acting on F_p^dim; element list is the whole group."""
+    """A finite matrix group acting on F_p^dim; element list is the whole group.
+
+    `perms[i]` permutes the vector index as element i does.  Dimino's closure
+    checks exhaustively that the elements form a group.
+    """
 
     elements: tuple
     p: int
     dim: int
     name: str = "action"
     notes: tuple = ()
+    perms: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        ident = mat_identity(self.dim)
-        if ident not in self.elements:
+        d, p = self.dim, self.p
+        for g in self.elements:
+            ok = isinstance(g, tuple) and len(g) == d and all(isinstance(r, tuple) and len(r) == d for r in g)
+            if not (ok and all(isinstance(x, int) and 0 <= x < p for r in g for x in r)):
+                raise ValueError(f"action element {g!r} is not a {d}x{d} tuple of tuples with entries in 0..{p - 1}")
+        if mat_identity(d) not in self.elements:
             raise ValueError("action must contain the identity")
-        elems = set(self.elements)
-        if len(elems) != len(self.elements):
+        if len(set(self.elements)) != len(self.elements):
             raise ValueError("duplicate elements in action")
-        pairs: Iterable
-        if len(self.elements) <= 200:
-            pairs = itertools.product(self.elements, repeat=2)
-        else:
-            rng = random.Random(20107)
-            pairs = (
-                (rng.choice(self.elements), rng.choice(self.elements))
-                for _ in range(200)
-            )
-        for a, b in pairs:
-            if mat_mul(a, b, self.p) not in elems:
-                raise ValueError("element set not closed under product")
+        if max(len(self.elements), d) * p**d > PERM_GUARD:
+            raise ValueError(f"permutation table of {len(self.elements)} x {p**d} (dim {d}) exceeds guard {PERM_GUARD}")
+        perms = np.empty((len(self.elements), p**d), dtype=np.int32)
+        step = 1 + 2**20 // (d * p**d)  # elements per call, so that its int64 work stays at a few MB
+        for k in range(0, len(self.elements), step):
+            perms[k:k + step] = matrix_index_perm(self.elements[k:k + step], p, d)
+        if np.count_nonzero(perms == 0) != len(perms):  # a singular element sends some v != 0 to 0
+            raise ValueError(f"an action element is singular mod {p}")
+        object.__setattr__(self, "perms", perms)
+        cols = perms[:, _index_weights(p, d)]  # images of the basis vectors determine the matrix
+        index = {col.tobytes(): i for i, col in enumerate(cols)}
+        span, gens = [self.elements.index(mat_identity(d))], []
+        seen = set(span)
+        for s in range(len(perms)):
+            if s in seen:
+                continue
+            gens.append(s)
+            old = len(span)  # the span so far is closed under the older generators
+            for i, x in enumerate(span):  # also visits what is appended
+                for h in gens[-1:] if i < old else gens:
+                    y = index.get(perms[x][cols[h]].tobytes())
+                    if y is None:
+                        raise ValueError("element set not closed under product")
+                    if y not in seen:
+                        seen.add(y)
+                        span.append(y)
 
     def __len__(self):
         return len(self.elements)
@@ -261,39 +307,14 @@ def wedge_module(d: int, p: int, guard: int = GL_GUARD) -> LinearAction:
     return LinearAction(elems, p, d + len(wedge_pairs(d)), name=f"GL({d},{p}) wedge", notes=notes)
 
 
-def fixed_subspace_count(g: tuple, subspaces: Iterable[FpSubspace], p: int) -> int:
-    count = 0
-    for s in subspaces:
-        if all(s.contains(mat_vec(g, v, p)) for v in s.rows):
-            count += 1
-    return count
-
-
 def cauchy_frobenius(action: LinearAction) -> tuple:
-    """Orbit count as the average number of fixed subspaces; exactness asserted."""
-    subspaces = list(enumerate_subspaces(action.dim, action.p))
-    fixed = [fixed_subspace_count(g, subspaces, action.p) for g in action.elements]
-    total = sum(fixed)
-    orbit_count, rem = divmod(total, len(action))
+    """Orbit count as the average number of fixed subspaces; exactness checked."""
+    masks = subspace_masks(action.dim, action.p)
+    fixed = [fixed_subspace_count(perm, masks) for perm in action.perms]
+    orbit_count, rem = divmod(sum(fixed), len(action))
     if rem:
         raise ArithmeticError("fixed-point total not divisible by group order")
     return orbit_count, fixed
-
-
-class UnionFind:
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-
-    def find(self, x: int) -> int:
-        while self.parent[x] != x:
-            self.parent[x] = self.parent[self.parent[x]]
-            x = self.parent[x]
-        return x
-
-    def union(self, x: int, y: int):
-        rx, ry = self.find(x), self.find(y)
-        if rx != ry:
-            self.parent[max(rx, ry)] = min(rx, ry)
 
 
 @dataclass(frozen=True)
@@ -304,27 +325,22 @@ class OrbitCensus:
 
 
 def regular_orbits(action: LinearAction) -> OrbitCensus:
-    """Partition all subspaces into orbits and compute stabilizer orders."""
-    subspaces = list(enumerate_subspaces(action.dim, action.p))
-    index = {s.rows: i for i, s in enumerate(subspaces)}
-    uf = UnionFind(len(subspaces))
-    for i, s in enumerate(subspaces):
-        for g in action.elements:
-            uf.union(i, index[s.image(g).rows])
-    reps: dict = {}
-    for i in range(len(subspaces)):
-        reps.setdefault(uf.find(i), []).append(i)
-    order = len(action)
+    """Orbits of all subspaces, in order of their least member, with stabilizer orders."""
+    visited: set = set()
     orbits = []
-    for root in sorted(reps):
-        members = reps[root]
-        rep = subspaces[root]
-        stab = sum(1 for g in action.elements if rep.image(g).rows == rep.rows)
-        if len(members) * stab != order:
+    for mask in subspace_masks(action.dim, action.p):
+        if mask.tobytes() in visited:
+            continue
+        images = mask[action.perms]  # the element list is the whole group
+        stab = int((images == mask).all(axis=1).sum())
+        members = {img.tobytes() for img in images}
+        if not visited.isdisjoint(members):
+            raise ArithmeticError("orbit reaches a subspace of an earlier orbit")
+        visited |= members
+        if len(members) * stab != len(action):
             raise ArithmeticError("orbit-stabilizer identity violated")
         orbits.append((len(members), stab))
-    regular = sum(1 for size, stab in orbits if stab == 1)
-    return OrbitCensus(orbit_count=len(orbits), regular_count=regular, orbits=tuple(orbits))
+    return OrbitCensus(len(orbits), sum(stab == 1 for _, stab in orbits), tuple(orbits))
 
 
 # ---------------------------------------------------------------------------

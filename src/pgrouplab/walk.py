@@ -6,7 +6,6 @@ are dense float64 arrays; nothing is ever silently renormalized.
 """
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -14,7 +13,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .fplin import is_invertible, mat_inverse
+from .fplin import _index_weights, is_invertible, mat_inverse, matrix_index_perm, state_table
 
 STATE_GUARD = 10**6
 STEP_GUARD = 10**5
@@ -63,21 +62,6 @@ class WalkSpec:
 
 def scalar_spec(p: int, a: int, q: float = 1.0) -> WalkSpec:
     return WalkSpec(p=p, d=1, a_matrix=((a,),), q_weight=q)
-
-
-def state_table(p: int, d: int) -> np.ndarray:
-    return np.array(list(itertools.product(range(p), repeat=d)), dtype=np.int64)
-
-
-def _index_weights(p: int, d: int) -> np.ndarray:
-    return np.array([p ** (d - 1 - i) for i in range(d)], dtype=np.int64)
-
-
-def matrix_index_perm(m: tuple, p: int, d: int) -> np.ndarray:
-    """Permutation i -> index of M * state(i)."""
-    states = state_table(p, d)
-    img = (states @ np.array(m, dtype=np.int64).T) % p
-    return img @ _index_weights(p, d)
 
 
 def point_mass(spec: WalkSpec) -> np.ndarray:

@@ -5,6 +5,7 @@ lines as they complete.  Tolerances are pinned here, not configurable.
 """
 import itertools
 import math
+import time
 
 import numpy as np
 import pytest
@@ -29,8 +30,17 @@ from pgrouplab.groups import (
 from pgrouplab.qcombin import Partition, check_qests, galois_number
 
 
+_test_start = [0.0]
+
+
+@pytest.fixture(autouse=True)
+def _start_clock():
+    _test_start[0] = time.perf_counter()
+
+
 def report(num, ok, text):
-    print(f"ACCEPTANCE {num:02d} {'PASS' if ok else 'FAIL'}: {text}")
+    elapsed = time.perf_counter() - _test_start[0]
+    print(f"ACCEPTANCE {num:02d} {'PASS' if ok else 'FAIL'}: {text} ({elapsed:.2f} s)")
     assert ok, f"criterion {num} failed: {text}"
 
 

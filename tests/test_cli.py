@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 
@@ -6,6 +7,7 @@ import pytest
 from pgrouplab import cli
 from pgrouplab.groups import cyclic, dihedral
 from pgrouplab.groups.catalog import write_catalog
+from pgrouplab.qcombin import galois_number
 
 
 def run(args, capsys):
@@ -92,6 +94,18 @@ def test_orbits_command(tmp_path, capsys):
     lines = out_path.read_text().splitlines()
     assert lines[0] == "action_id,orbit_index,size,stabilizer_order,regular"
     assert len(lines) == 9
+
+
+def test_orbits_gl32_wedge(tmp_path, capsys):
+    out_path = tmp_path / "orbits.csv"
+    code, out = run(["orbits", "--d", "3", "--p", "2", "--module", "wedge",
+                     "--out", str(out_path)], capsys)
+    assert code == 0  # the Cauchy-Frobenius count agrees with the orbit census
+    assert out.strip() == "orbits=70 regular=3"
+    rows = list(csv.reader(out_path.read_text().splitlines()))[1:]
+    assert len(rows) == 70
+    assert sum(int(r[2]) for r in rows) == galois_number(6, 2) == 2825
+    assert all(int(r[2]) * int(r[3]) == 168 for r in rows)
 
 
 def test_bounds_command(capsys):

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from pgrouplab import fplin as fp
-from pgrouplab.qcombin import galois_number
+from pgrouplab.qcombin import galois_number, gauss_binom
 from smallfield import SmallField
 
 
@@ -183,6 +183,83 @@ def test_action_closure_is_verified():
     bad = (fp.mat_identity(2), ((1, 1), (0, 1)))
     with pytest.raises(ValueError):
         fp.LinearAction(bad, 3, 2)
+    # {I, s, t, st} over F_2 lacks ts: found only if the element st, added
+    # under the second generator t, is also multiplied by the first one, s
+    s, t = ((0, 1), (1, 0)), ((1, 0), (1, 1))
+    with pytest.raises(ValueError, match="not closed"):
+        fp.LinearAction((fp.mat_identity(2), s, t, fp.mat_mul(s, t, 2)), 2, 2)
+
+
+def test_action_rejects_gl25_missing_one_element():
+    gl25 = fp.gl_enumerate(2, 5)
+    swap = ((0, 1), (1, 0))
+    with pytest.raises(ValueError, match="not closed"):
+        fp.LinearAction(tuple(g for g in gl25 if g != swap), 5, 2)
+    # |GL(2,5)| - 1 = 479 is prime, so no deletion of a non-identity element
+    # leaves a subgroup
+    rejected = 0
+    for x in gl25:
+        if x == fp.mat_identity(2):
+            continue
+        try:
+            fp.LinearAction(tuple(g for g in gl25 if g != x), 5, 2)
+        except ValueError:
+            rejected += 1
+    assert rejected == 479
+
+
+@pytest.mark.parametrize("bad", [
+    ((1, 0),),
+    ((1, 0, 0), (0, 1, 0), (0, 0, 1)),
+    ((1, 0), (0,)),
+    [[1, 0], [0, 1]],
+    ((1, 0), (0, 4)),  # 4 = 1 mod 3, but entries are not reduced
+    ((1, 0), (0, -1)),
+    ((1, 0), (0, 1.0)),
+])
+def test_action_rejects_malformed_matrices(bad):
+    with pytest.raises(ValueError, match=r"is not a 2x2 tuple of tuples with entries in 0\.\.2"):
+        fp.LinearAction((fp.mat_identity(2), bad), 3, 2)
+
+
+def test_action_rejects_singular_matrices():
+    # {I, 0} is closed under products, but 0 is no permutation of the vectors
+    with pytest.raises(ValueError, match="singular"):
+        fp.LinearAction((fp.mat_identity(2), ((0, 0), (0, 0))), 3, 2)
+
+
+def test_action_permutation_guard():
+    # refused before any table is built: one element with 25 x 2^25 work,
+    # and 26,208 elements on 13^3 vectors (about 2^25.8 table entries)
+    with pytest.raises(ValueError, match="permutation table"):
+        fp.LinearAction((fp.mat_identity(25),), 2, 25)
+    with pytest.raises(ValueError, match="permutation table"):
+        fp.wedge_module(2, 13)
+
+
+def _fixed_by_rref(g, subspaces, p):
+    """Oracle: g-invariant subspaces through RREF membership, without masks."""
+    return sum(
+        all(s.contains(fp.mat_vec(g, v, p)) for v in s.rows) for s in subspaces
+    )
+
+
+@pytest.mark.parametrize("builder, d, p", [
+    (fp.wedge_module, 2, 3), (fp.natural_action, 3, 2), (fp.wedge_module, 2, 5),
+])
+def test_cauchy_frobenius_fixed_counts_match_rref_oracle(builder, d, p):
+    act = builder(d, p)
+    subspaces = list(fp.enumerate_subspaces(act.dim, p))
+    _, fixed = fp.cauchy_frobenius(act)
+    assert fixed == [_fixed_by_rref(g, subspaces, p) for g in act.elements]
+
+
+@pytest.mark.parametrize("d, p", [(2, 3), (2, 5), (3, 2), (3, 3)])
+def test_natural_orbits_are_the_grassmannians(d, p):
+    census = fp.regular_orbits(fp.natural_action(d, p))
+    assert sorted(size for size, _ in census.orbits) == sorted(
+        gauss_binom(d, k, p) for k in range(d + 1)
+    )
 
 
 def test_wedge_p2_carries_split_note():
