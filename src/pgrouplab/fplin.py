@@ -9,7 +9,7 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -148,14 +148,11 @@ def enumerate_rref_rows(m: int, p: int, k: int) -> Iterator[tuple]:
             yield tuple(tuple(r) for r in rows)
 
 
-def enumerate_subspaces(
-    m: int, p: int, dim_filter: Optional[Iterable[int]] = None, guard: int = SUBSPACE_GUARD
-) -> Iterator[FpSubspace]:
+def enumerate_subspaces(m: int, p: int, guard: int = SUBSPACE_GUARD) -> Iterator[FpSubspace]:
     """Every subspace of F_p^m exactly once, in canonical (dim, RREF) order."""
     if galois_number(m, p) > guard:
         raise ValueError(f"subspace count for m={m}, p={p} exceeds guard {guard}")
-    dims = sorted(set(dim_filter)) if dim_filter is not None else range(m + 1)
-    for k in dims:
+    for k in range(m + 1):
         for rows in enumerate_rref_rows(m, p, k):
             yield FpSubspace(rows, m, p)
 
@@ -193,12 +190,15 @@ def gl_enumerate(d: int, p: int, guard: int = GL_GUARD) -> list:
     return out
 
 
-def subspace_masks(m: int, p: int, guard: int = SUBSPACE_GUARD) -> np.ndarray:
-    """Row i marks the vectors of the i-th subspace of `enumerate_subspaces(m, p)`."""
+@functools.lru_cache(maxsize=None)
+def subspace_masks(m: int, p: int) -> np.ndarray:
+    """Row i marks the vectors of the i-th subspace of `enumerate_subspaces(m, p)`; read-only."""
     coeffs, weights = [state_table(p, k) for k in range(m + 1)], _index_weights(p, m)
     vectors = ((coeffs[s.dim] @ np.array(s.rows, dtype=np.int64).reshape(s.dim, m)) % p @ weights
-               for s in enumerate_subspaces(m, p, guard=guard))  # every combination of the RREF rows
-    return np.array([np.bincount(v, minlength=p**m) > 0 for v in vectors])
+               for s in enumerate_subspaces(m, p))  # every combination of the RREF rows
+    masks = np.array([np.bincount(v, minlength=p**m) > 0 for v in vectors])
+    masks.flags.writeable = False  # one array is shared by every caller
+    return masks
 
 
 def fixed_subspace_count(perm: np.ndarray, masks: np.ndarray) -> int:
@@ -206,11 +206,11 @@ def fixed_subspace_count(perm: np.ndarray, masks: np.ndarray) -> int:
     return int((masks[:, perm] == masks).all(axis=1).sum())
 
 
-def invariant_subspace_count(g: tuple, p: int, guard: int = SUBSPACE_GUARD) -> int:
+def invariant_subspace_count(g: tuple, p: int) -> int:
     """Brute-force count of g-invariant subspaces of the natural module."""
     if not is_invertible(g, p):
         raise ValueError("matrix is singular")
-    return fixed_subspace_count(matrix_index_perm(g, p, len(g)), subspace_masks(len(g), p, guard=guard))
+    return fixed_subspace_count(matrix_index_perm(g, p, len(g)), subspace_masks(len(g), p))
 
 
 # ---------------------------------------------------------------------------

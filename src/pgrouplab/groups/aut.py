@@ -33,7 +33,7 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from ..qcombin import Partition
-from .cayley import CayleyGroup, quotient_group
+from .cayley import CayleyGroup, is_p_power, quotient_group
 
 NODE_GUARD = 10**7  # candidate images tried, over one whole search
 LIST_GUARD = 10**5  # automorphisms aut_group will list
@@ -287,10 +287,7 @@ def aut_order(g: CayleyGroup, p: Optional[int] = None) -> int:
 
 
 def aut_is_p_group(g: CayleyGroup, p: int) -> bool:
-    n = aut_order(g, p)
-    while n % p == 0:
-        n //= p
-    return n == 1
+    return is_p_power(aut_order(g, p), p)
 
 
 def are_isomorphic(a: CayleyGroup, b: CayleyGroup, p: Optional[int] = None) -> bool:

@@ -11,7 +11,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .aut import aut_order, minimal_generating_tuple
-from .cayley import CayleyGroup, direct_product
+from .cayley import CayleyGroup, direct_product, is_p_power
 from .families import (
     abelian_of_type,
     c2sq_semidirect_c4,
@@ -120,10 +120,7 @@ def census(
     rows = []
     for name, g in entries:
         n = aut_order(g, p)
-        m = n
-        while m % p == 0:
-            m //= p
-        rows.append(CensusRow(name=name, aut_order=n, aut_is_p_group=(m == 1)))
+        rows.append(CensusRow(name=name, aut_order=n, aut_is_p_group=is_p_power(n, p)))
     hits = sum(1 for r in rows if r.aut_is_p_group)
     return hits, len(rows), rows
 

@@ -225,10 +225,7 @@ class CayleyGroup:
     # -- lower p-series ------------------------------------------------------------
 
     def is_p_group(self, p: int) -> bool:
-        n = self.order
-        while n % p == 0:
-            n //= p
-        return n == 1
+        return is_p_power(self.order, p)
 
     def lower_p_series(self, p: int) -> List[np.ndarray]:
         """G_1 >= G_2 >= ..., ending with the trivial subgroup."""
@@ -280,6 +277,13 @@ class CayleyGroup:
         if not self.is_p_group(p):
             raise ValueError("not a p-group")
         return abelian_type_of_orders(self.element_orders(), p)
+
+
+def is_p_power(n: int, p: int) -> bool:
+    """Whether n = p^k for some k >= 0."""
+    while n % p == 0:
+        n //= p
+    return n == 1
 
 
 def abelian_type_of_orders(orders: np.ndarray, p: int) -> Tuple[int, ...]:

@@ -3,6 +3,12 @@
 The closed submodule-count formula is indexed by conjugates: the module has
 type alpha' while the product formula runs over the parts of alpha.  The abelian-group oracle speaks in group types lambda, so the
 two sides are compared through lambda = conjugate(alpha).
+
+`decompose` computes the powers I, g, ..., g^m once.  By Cayley-Hamilton the
+minimal polynomial is the lowest-degree linear relation among them, read off
+one echelon form of the flattened powers; a zero constant term means g is
+singular, and each factor f is evaluated as f(g) = sum f_i g^i from the same
+powers.
 """
 from __future__ import annotations
 
@@ -10,17 +16,7 @@ import math
 from dataclasses import dataclass
 from typing import Dict, Iterator, Sequence, Tuple
 
-from .fplin import (
-    is_invertible,
-    mat_identity,
-    mat_mul,
-    mat_rank,
-    monic_irreducibles,
-    poly_divmod,
-    poly_mul,
-    poly_trim,
-    rref,
-)
+from .fplin import mat_identity, mat_mul, mat_rank, monic_irreducibles, poly_divmod, poly_trim, rref
 from .qcombin import BoundReal, Partition, c_series, d_series, galois_number, gauss_binom
 from .groups.cayley import abelian_type_of_orders
 from .groups.families import abelian_of_type
@@ -115,76 +111,32 @@ class PrimaryDecomposition:
         return tuple(sorted((f, mu.parts) for f, mu in self.components))
 
 
-def _vector_annihilator(g: tuple, v: tuple, p: int) -> tuple:
-    """Monic minimal polynomial of g on the cyclic subspace generated by v."""
-    m = len(g)
-    cur = v
-    krylov = [v]
-    while True:
-        if mat_rank(krylov, p) < len(krylov):
-            break
-        cur = tuple(sum(g[i][j] * cur[j] for j in range(m)) % p for i in range(m))
-        krylov.append(cur)
-    # last vector is a combination of the previous ones; solve for coefficients
-    k = len(krylov) - 1
-    aug = [[krylov[j][i] for j in range(k)] + [krylov[k][i]] for i in range(m)]
-    red = rref(aug, p)
-    coeffs = [0] * k
-    for row in red:
-        piv = next(i for i, x in enumerate(row) if x)
-        if piv == k:
-            raise ArithmeticError("inconsistent Krylov solve")
-        coeffs[piv] = row[k]
-    # g^k v = sum coeffs_j g^j v  ->  minimal poly t^k - sum coeffs_j t^j
-    poly = [(-c) % p for c in coeffs] + [1]
-    return poly_trim(poly)
+def _powers(g: tuple, p: int) -> list:
+    """I, g, ..., g^m for an m x m matrix g."""
+    out = [mat_identity(len(g))]
+    for _ in range(len(g)):
+        out.append(mat_mul(out[-1], g, p))
+    return out
 
 
-def _poly_gcd(a, b, p: int) -> tuple:
-    a, b = poly_trim(a), poly_trim(b)
-    while b:
-        a, b = b, poly_divmod(a, b, p)[1]
-    if a:
-        inv = pow(a[-1], -1, p)
-        a = tuple((x * inv) % p for x in a)
-    return a
+def _minimal_polynomial_of_powers(powers: list, p: int) -> tuple:
+    """The lowest-degree monic relation among I, g, ..., g^m, from one echelon form.
 
-
-def _poly_lcm(a, b, p: int) -> tuple:
-    if not a:
-        return tuple(b)
-    if not b:
-        return tuple(a)
-    g = _poly_gcd(a, b, p)
-    q, r = poly_divmod(poly_mul(a, b, p), g, p)
-    if r:
-        raise ArithmeticError("gcd does not divide the product")
-    inv = pow(q[-1], -1, p)
-    return tuple((x * inv) % p for x in q)
+    Row j is g^j flattened, tagged with t^j in tag columns ordered t^m down to
+    t^0.  Reduced rows whose pivot lies in a tag column have a zero matrix part
+    and form a basis of the relations; the last has the lowest leading degree.
+    """
+    m = len(powers) - 1
+    rows = [sum(pw, ()) + tuple(int(k == m - j) for k in range(m + 1)) for j, pw in enumerate(powers)]
+    last = rref(rows, p)[-1]
+    if any(last[: m * m]):
+        raise ArithmeticError("no linear relation among I, g, ..., g^m")
+    return poly_trim(last[m * m:][::-1])
 
 
 def minimal_polynomial(g: tuple, p: int) -> tuple:
-    """Monic minimal polynomial of g, by lcm of cyclic-vector annihilators."""
-    m = len(g)
-    out: tuple = ()
-    for i in range(m):
-        v = tuple(1 if j == i else 0 for j in range(m))
-        out = _poly_lcm(out, _vector_annihilator(g, v, p), p)
-        if len(out) - 1 == m:
-            break
-    return out
-
-
-def _poly_of_matrix(f: Sequence[int], g: tuple, p: int) -> tuple:
-    m = len(g)
-    out = tuple(tuple(0 for _ in range(m)) for _ in range(m))
-    for c in reversed(poly_trim(f) or (0,)):
-        out = mat_mul(out, g, p)
-        out = tuple(
-            tuple((out[i][j] + (c if i == j else 0)) % p for j in range(m))
-            for i in range(m)
-        )
-    return out
+    """Monic minimal polynomial of g, low-to-high coefficients."""
+    return _minimal_polynomial_of_powers(_powers(g, p), p)
 
 
 def decompose(g: tuple, p: int) -> PrimaryDecomposition:
@@ -196,9 +148,10 @@ def decompose(g: tuple, p: int) -> PrimaryDecomposition:
     m = len(g)
     if m > DECOMPOSE_DIM_GUARD:
         raise ValueError(f"dimension {m} exceeds guard {DECOMPOSE_DIM_GUARD}")
-    if not is_invertible(g, p):
+    powers = _powers(g, p)
+    minpoly = _minimal_polynomial_of_powers(powers, p)
+    if minpoly[0] == 0:
         raise ValueError("matrix is singular")
-    minpoly = minimal_polynomial(g, p)
     factors = []
     rest = minpoly
     for f in monic_irreducibles(p, len(minpoly) - 1):
@@ -218,7 +171,8 @@ def decompose(g: tuple, p: int) -> PrimaryDecomposition:
         prev = 0
         jumps = []
         power = mat_identity(m)
-        fmat = _poly_of_matrix(f, g, p)
+        fmat = tuple(tuple(sum(c * pw[i][j] for c, pw in zip(f, powers)) % p for j in range(m))
+                     for i in range(m))  # f(g), as deg f <= deg minpoly <= m
         while True:
             power = mat_mul(power, fmat, p)
             ker = m - mat_rank(power, p)

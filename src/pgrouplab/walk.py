@@ -70,9 +70,9 @@ def point_mass(spec: WalkSpec) -> np.ndarray:
     return out
 
 
-def evolve_steps(spec: WalkSpec, n: int, step_guard: int = STEP_GUARD) -> Iterator[np.ndarray]:
+def evolve_steps(spec: WalkSpec, n: int) -> Iterator[np.ndarray]:
     """Yields P_0, P_1, ..., P_n by exact convolution."""
-    if n > step_guard:
+    if n > STEP_GUARD:
         raise ValueError("step count exceeds guard")
     p, d, q = spec.p, spec.d, spec.q_weight
     perm_ainv = matrix_index_perm(mat_inverse(spec.a_matrix, p), p, d)
@@ -131,9 +131,9 @@ def step_transform(spec: WalkSpec) -> np.ndarray:
     return 1.0 - spec.q_weight + (spec.q_weight / spec.d) * cosines
 
 
-def fourier_steps(spec: WalkSpec, n: int, step_guard: int = STEP_GUARD) -> Iterator[np.ndarray]:
+def fourier_steps(spec: WalkSpec, n: int) -> Iterator[np.ndarray]:
     """Yields the transform of P_k for k = 0..n via the twisted product form."""
-    if n > step_guard:
+    if n > STEP_GUARD:
         raise ValueError("step count exceeds guard")
     at = tuple(zip(*spec.a_matrix))  # transpose
     perm_at = matrix_index_perm(at, spec.p, spec.d)
@@ -153,14 +153,7 @@ def fourier_of_walk(spec: WalkSpec, n: int) -> np.ndarray:
 
 
 def direct_transform(dist: np.ndarray, p: int, d: int) -> np.ndarray:
-    """Transform of an arbitrary distribution; naive matrix for small spaces,
-    axis-factored otherwise."""
-    n = p**d
-    if n <= 10**4:
-        states = state_table(p, d)
-        dots = (states @ states.T) % p
-        w = np.exp(2j * np.pi / p) ** dots
-        return w @ dist.astype(complex)
+    """Transform of an arbitrary distribution, one axis at a time."""
     w1 = np.exp(2j * np.pi * np.outer(np.arange(p), np.arange(p)) / p)
     arr = dist.reshape((p,) * d).astype(complex)
     for axis in range(d):

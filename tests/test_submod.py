@@ -1,9 +1,11 @@
+import itertools
 import math
 import random
 
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
+import numpy as np
 
 from pgrouplab import fplin as fp
 from pgrouplab import submod as sm
@@ -93,8 +95,9 @@ def test_decompose_frozen():
 
 
 def test_decompose_rejects_singular_and_big():
-    with pytest.raises(ValueError):
-        sm.decompose(((1, 0), (0, 0)), 2)
+    for g in (((1, 0), (0, 0)), ((0, 1), (0, 0))):  # the second is nilpotent
+        with pytest.raises(ValueError, match="matrix is singular"):
+            sm.decompose(g, 2)
     with pytest.raises(ValueError):
         sm.decompose(fp.mat_identity(9), 2)
 
@@ -104,6 +107,32 @@ def test_minimal_polynomial_of_companions():
         for f in fp.monic_irreducibles(p, 3):
             c = fp.companion_matrix(f, p)
             assert sm.minimal_polynomial(c, p) == f
+
+
+def _brute_minimal_polynomial(g, p):
+    """First monic polynomial, in order of degree, that annihilates g; numpy only."""
+    a = np.array(g, dtype=np.int64)
+    m = len(a)
+    powers = [np.eye(m, dtype=np.int64)]
+    for _ in range(m):
+        powers.append(powers[-1] @ a % p)
+    for deg in range(1, m + 1):
+        for tail in itertools.product(range(p), repeat=deg):
+            coeffs = tail + (1,)
+            if not (sum(c * pw for c, pw in zip(coeffs, powers)) % p).any():
+                return coeffs
+    raise AssertionError("no annihilating polynomial of degree <= m")
+
+
+# derogatory elements: the 2 scalars of GL(2,3); the identity and 21 transvections of GL(3,2)
+@pytest.mark.parametrize("d,p,derogatory", [(2, 3, 2), (3, 2, 22)])
+def test_minimal_polynomial_matches_brute_force(d, p, derogatory):
+    degrees = []
+    for g in fp.gl_enumerate(d, p):
+        want = _brute_minimal_polynomial(g, p)
+        assert sm.minimal_polynomial(g, p) == want, g
+        degrees.append(len(want) - 1)
+    assert sum(k < d for k in degrees) == derogatory
 
 
 def test_decompose_dimension_reconstruction_and_conjugation_invariance():

@@ -110,12 +110,7 @@ def test_factored_transform_matches_naive():
     states = wk.state_table(5, 3)
     dots = (states @ states.T) % 5
     naive = (np.exp(2j * np.pi / 5) ** dots) @ dist.astype(complex)
-    # force the axis-factored path by reshaping through the public helper
-    w1 = np.exp(2j * np.pi * np.outer(np.arange(5), np.arange(5)) / 5)
-    arr = dist.reshape((5, 5, 5)).astype(complex)
-    for axis in range(3):
-        arr = np.moveaxis(np.tensordot(w1, arr, axes=(1, axis)), 0, axis)
-    assert np.abs(arr.reshape(-1) - naive).max() < 1e-9
+    assert np.abs(wk.direct_transform(dist, 5, 3) - naive).max() < 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -271,8 +266,7 @@ def test_monte_carlo_close_to_exact():
 
 
 def test_factored_transform_on_large_state_space():
-    # 31^3 = 29791 states exceeds the naive-path threshold; a point mass at g
-    # transforms to the plain character values at g
+    # a point mass at g transforms to the plain character values at g
     p, d = 31, 3
     n = p**d
     dist = np.zeros(n)
