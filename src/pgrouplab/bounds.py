@@ -74,58 +74,6 @@ def fnormal_bound(p: int, d: int, n: int, u: Sequence[int], reading: str = "stan
 
 
 # ---------------------------------------------------------------------------
-# exact values of the form (a + b sqrt(p)) * p^(shift/2)
-
-
-@dataclass
-class SqrtNum:
-    """Exact positive number a + b*sqrt(p) times p^(half_shift/2)."""
-
-    p: int
-    half_shift: int
-    a: int
-    b: int
-
-    @classmethod
-    def one(cls, p: int) -> "SqrtNum":
-        return cls(p, 0, 1, 0)
-
-    def shifted(self, half_units: int) -> "SqrtNum":
-        return SqrtNum(self.p, self.half_shift + half_units, self.a, self.b)
-
-    def __add__(self, other: "SqrtNum") -> "SqrtNum":
-        if self.p != other.p:
-            raise ValueError(f"cannot add numbers over sqrt({self.p}) and sqrt({other.p})")
-        lo, hi = (self, other) if self.half_shift <= other.half_shift else (other, self)
-        delta = hi.half_shift - lo.half_shift
-        p = self.p
-        if delta % 2 == 0:
-            scale = p ** (delta // 2)
-            return SqrtNum(p, lo.half_shift, lo.a + hi.a * scale, lo.b + hi.b * scale)
-        scale = p ** ((delta - 1) // 2)
-        # (a + b sqrt p) * sqrt p = b p + a sqrt p
-        return SqrtNum(p, lo.half_shift, lo.a + hi.b * p * scale, lo.b + hi.a * scale)
-
-    def log_p(self) -> float:
-        la = _log_bigint(self.a) if self.a else -math.inf
-        lb = (_log_bigint(self.b) + 0.5 * math.log(self.p)) if self.b else -math.inf
-        if la == -math.inf and lb == -math.inf:
-            return -math.inf
-        m = max(la, lb)
-        total = m + math.log(math.exp(la - m) + math.exp(lb - m))
-        return self.half_shift / 2.0 + total / math.log(self.p)
-
-
-def _log_bigint(x: int) -> float:
-    if x <= 0:
-        raise ValueError("log of nonpositive integer")
-    if x < 2**52:
-        return math.log(x)
-    k = x.bit_length() - 52
-    return math.log(x >> k) + k * math.log(2)
-
-
-# ---------------------------------------------------------------------------
 # the nested profile sums and their bound
 
 
@@ -211,34 +159,13 @@ def gaussprods_tables(p: int, d: int, n: int) -> Dict[int, List[PowSum]]:
     return tables
 
 
-def gaussprods_tables_bigint(p: int, d: int, n: int) -> Dict[int, List[SqrtNum]]:
-    """Big-integer reference implementation of gaussprods_tables (slow oracle)."""
-    dims = {j: dn_dim(d, j) for j in range(1, n + 1)}
-    inner_lo = {j: 0 for j in range(2, n + 1)}
-    inner_lo[n - 1] = 1
-    inner_lo[n] = 2
-    tables: Dict[int, List[SqrtNum]] = {n: [SqrtNum.one(p)] * (dims[n] + 1)}
-    for j in range(n - 1, 0, -1):
-        nxt = tables[j + 1]
-        vec = []
-        for u_j in range(dims[j] + 1):
-            acc: Optional[SqrtNum] = None
-            for u in range(inner_lo[j + 1], dims[j + 1] + 1):
-                half = (dims[j + 1] - u) * (2 * u - u_j)
-                term = nxt[u].shifted(half)
-                acc = term if acc is None else acc + term
-            vec.append(acc if acc is not None else SqrtNum(p, 0, 0, 0))
-        tables[j] = vec
-    return tables
-
-
 def gaussprods_ai(
     p: int,
     d: int,
     n: int,
     i: int,
     u_i: int,
-    tables: Optional[Dict[int, List[SqrtNum]]] = None,
+    tables: Optional[Dict[int, List[PowSum]]] = None,
 ) -> AiReport:
     """Exact nested sum A_i(u_i) next to its stated upper bound, in log_p space.
 

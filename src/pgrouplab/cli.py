@@ -17,13 +17,13 @@ from typing import List, Optional
 from . import __version__, bounds, fplin, freelie, qcombin, submod, walk
 from .groups.catalog import census as run_census
 from .groups.catalog import parse_catalog
+from .groups.cayley import ORDER_GUARD
 
 
 def _write_manifest(out_path: Optional[str], command: str, params: dict, seed: Optional[int]):
     if not out_path:
         return
     from .fplin import GL_GUARD, SUBSPACE_GUARD
-    from .groups.cayley import ORDER_GUARD
     from .walk import STATE_GUARD, STEP_GUARD
 
     manifest = {
@@ -76,7 +76,7 @@ UNSAFE_GUARD = 10**12
 
 
 def cmd_census(args) -> List[str]:
-    guard = UNSAFE_GUARD if args.unsafe_limits else 256
+    guard = UNSAFE_GUARD if args.unsafe_limits else ORDER_GUARD
     entries = None
     if args.catalog:
         entries = []

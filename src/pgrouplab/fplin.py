@@ -148,10 +148,10 @@ def enumerate_rref_rows(m: int, p: int, k: int) -> Iterator[tuple]:
             yield tuple(tuple(r) for r in rows)
 
 
-def enumerate_subspaces(m: int, p: int, guard: int = SUBSPACE_GUARD) -> Iterator[FpSubspace]:
+def enumerate_subspaces(m: int, p: int) -> Iterator[FpSubspace]:
     """Every subspace of F_p^m exactly once, in canonical (dim, RREF) order."""
-    if galois_number(m, p) > guard:
-        raise ValueError(f"subspace count for m={m}, p={p} exceeds guard {guard}")
+    if galois_number(m, p) > SUBSPACE_GUARD:
+        raise ValueError(f"subspace count for m={m}, p={p} exceeds guard {SUBSPACE_GUARD}")
     for k in range(m + 1):
         for rows in enumerate_rref_rows(m, p, k):
             yield FpSubspace(rows, m, p)

@@ -4,11 +4,13 @@ An isomorphism G -> T is fixed by the images of a generating tuple
 g_1, ..., g_d of G, lifted from a basis of G/Frattini for a p-group.  The
 search set-up is built once per pair (G, T): the tuple, a breadth-first
 derivation of each element of H_{k+1} = <g_1, ..., g_{k+1}> from H_k, the
-homomorphism checks each level adds, and the Frattini quotient of T.  One
+homomorphism checks each level adds, and the Frattini subgroup of T.  One
 level step extends a partial map on H_k by every candidate image of g_{k+1}
 as a numpy batch and keeps the maps that are injective homomorphisms on
 H_{k+1}.  Candidates are pruned on element order and, for p-groups, on
-dependence modulo the Frattini subgroup.
+dependence modulo the Frattini subgroup: an image must lie outside the span
+of the images before it and Phi(T), a bitmask of `CayleyGroup._span` that
+starts from Phi(T).
 
 |Aut(G)| is not found by listing automorphisms.  With S_k the stabiliser of
 g_1, ..., g_k in Aut(G), it is the product over k of the orbit lengths
@@ -33,7 +35,7 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from ..qcombin import Partition
-from .cayley import CayleyGroup, is_p_power, quotient_group
+from .cayley import CayleyGroup, is_p_power
 
 NODE_GUARD = 10**7  # candidate images tried, over one whole search
 LIST_GUARD = 10**5  # automorphisms aut_group will list
@@ -41,50 +43,43 @@ LIST_GUARD = 10**5  # automorphisms aut_group will list
 
 def minimal_generating_tuple(g: CayleyGroup, p: Optional[int] = None) -> List[int]:
     """Generators lifted from a basis of G/Frattini (p-groups) or greedy closure."""
-    return _generating_tuple(g, _frattini_quotient(g, p))
+    return _generating_tuple(g, _frattini_mask(g, p))
 
 
-def _frattini_quotient(g: CayleyGroup, p: Optional[int]):
-    """(G/Frattini, projection) for a nontrivial p-group; None otherwise."""
+def _frattini_mask(g: CayleyGroup, p: Optional[int]) -> Optional[int]:
+    """Bitmask of the Frattini subgroup for a nontrivial p-group; None otherwise."""
     if p is None or not g.is_p_group(p) or g.order == 1:
         return None
-    phi = g.frattini(p)
-    if phi.size == 1:  # G is elementary abelian and already its own quotient
-        return g, np.arange(g.order, dtype=np.int32)
-    return quotient_group(g, phi)
+    return g._mask(g.frattini(p))
 
 
-def _generating_tuple(g: CayleyGroup, quotient) -> List[int]:
-    """Take each element, in turn, whose image in h lies outside the span of
-    the images taken so far: h is the Frattini quotient when one is given,
-    with elements in index order, and otherwise G itself, by descending order.
+def _generating_tuple(g: CayleyGroup, phi: Optional[int]) -> List[int]:
+    """Take each element, in turn, outside the span of phi and the elements
+    taken so far: in index order when phi is the Frattini mask, and otherwise
+    (no phi) by descending element order.
     """
-    if quotient is not None:
-        h, proj = quotient
-        scan = range(g.order)
-    else:
-        h, proj = g, np.arange(g.order)
+    if phi is None:
         scan = np.argsort(-g.element_orders(), kind="stable").tolist()
-    proj = proj.tolist()
-    whole = (1 << h.order) - 1
+    else:
+        scan = range(g.order)
+    whole = (1 << g.order) - 1
     gens: List[int] = []
-    span = h._span([])
+    span = g._span([], phi)
     for x in scan:
-        if not span >> proj[x] & 1:
+        if not span >> x & 1:
             gens.append(x)
-            span = h._span([proj[y] for y in gens])
+            span = g._span(gens, phi)
             if span == whole:
                 break
-    if g._span(gens) != (1 << g.order) - 1:
+    if g._span(gens) != whole:
         raise ArithmeticError("greedy generators do not generate G")
     return gens
 
 
 def _bfs_schedule(g: CayleyGroup, gens: Sequence[int], known: np.ndarray):
     """Derivations (element, parent, gen_pos) for <gens> \\ known, plus members."""
-    mask = np.zeros(g.order, dtype=bool)
-    mask[known] = True
-    work = list(int(x) for x in known)
+    mask = g._mask(known)
+    work = known.tolist()
     schedule = []
     i = 0
     while i < len(work):
@@ -92,11 +87,11 @@ def _bfs_schedule(g: CayleyGroup, gens: Sequence[int], known: np.ndarray):
         i += 1
         for pos, gen in enumerate(gens):
             y = int(g.table[x, gen])
-            if not mask[y]:
-                mask[y] = True
+            if not mask >> y & 1:
+                mask |= 1 << y
                 schedule.append((y, x, pos))
                 work.append(y)
-    return np.flatnonzero(mask).astype(np.int32), schedule
+    return g._elements(mask), schedule
 
 
 class _Search:
@@ -108,26 +103,21 @@ class _Search:
 
     def __init__(self, g: CayleyGroup, target: CayleyGroup, p: Optional[int], guard: int):
         self.n = g.order
+        self.target = target
         self.table_t = target.table
         self.guard = guard
         self.nodes = 0
-        quotient = _frattini_quotient(g, p)
-        self.gens = gens = _generating_tuple(g, quotient)
+        phi = _frattini_mask(g, p)
+        self.gens = gens = _generating_tuple(g, phi)
         self.d = d = len(gens)
         orders_g = g.element_orders()
         orders_t = target.element_orders()
         self.order_ok = [orders_t == orders_g[x] for x in gens]
         self.feasible = True
-        self.qt = self.proj_t = self.span0 = None
-        if quotient is not None:  # g, and so target, is a nontrivial p-group
-            self.qt, self.proj_t = quotient if target is g else _frattini_quotient(target, p)
-            self.feasible = self.qt.order == p**d
-            self.span0 = np.zeros(self.qt.order, dtype=bool)
-            self.span0[self.qt.identity] = True
-            # the Frattini quotient is elementary abelian, so a span extension is
-            # one product set, not an iterated closure; a one-generator search
-            # never extends a span
-            self.qt_cyc = [self.qt.closure([x]) for x in range(self.qt.order)] if d > 1 else []
+        self.span0 = None  # Phi(T) as a bitmask; None when g is not a nontrivial p-group
+        if phi is not None:  # g, and so target, is a nontrivial p-group
+            self.span0 = phi if target is g else _frattini_mask(target, p)
+            self.feasible = target.order == p**d * self.span0.bit_count()
 
         self.members: List[np.ndarray] = []  # H_{k+1}
         self.schedules = []  # derivations (element, parent, gen_pos) of H_{k+1} \ H_k
@@ -173,20 +163,18 @@ class _Search:
         return img, span
 
     def extend(self, span, x: int):
-        """The Frattini span once x is the image of the next generator."""
-        if span is None:
-            return None
-        new = span.copy()
-        prod = self.qt.table[np.ix_(np.flatnonzero(span), self.qt_cyc[int(self.proj_t[x])])]
-        new[prod.ravel()] = True
-        return new
+        """The Frattini span once x is the image of the next generator.
+
+        The span contains Phi(T), and so the derived subgroup: it is normal.
+        """
+        return None if span is None else self.target._span([x], span)
 
     def step(self, k: int, img: np.ndarray, span):
         """Images x of g_{k+1} that extend img (a map on H_k) to an injective
         homomorphism on H_{k+1}, and those extended maps, one row each."""
         cand = self.order_ok[k]
         if span is not None:
-            cand = cand & ~span[self.proj_t]
+            cand = cand & ~self.target._members(span)
         xs = np.flatnonzero(cand).astype(np.int32)
         self.nodes += xs.size
         if self.nodes > self.guard:
@@ -305,9 +293,9 @@ def are_isomorphic(a: CayleyGroup, b: CayleyGroup, p: Optional[int] = None) -> b
 
 def frattini_action_kernel_order(g: CayleyGroup, p: int, auts: Sequence[np.ndarray]) -> int:
     """Order of the subgroup of Aut(G) acting trivially on G/Frattini."""
-    phi = g.frattini(p)
-    _, proj = quotient_group(g, phi)
-    return sum(1 for a in auts if np.array_equal(proj[a], proj))
+    phi = np.zeros(g.order, dtype=bool)
+    phi[g.frattini(p)] = True
+    return sum(1 for a in auts if phi[g.table[a, g.inverse]].all())  # a(x) x^-1 in Phi
 
 
 # ---------------------------------------------------------------------------

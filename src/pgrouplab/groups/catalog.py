@@ -11,7 +11,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .aut import aut_order, minimal_generating_tuple
-from .cayley import CayleyGroup, direct_product, is_p_power
+from .cayley import ORDER_GUARD, CayleyGroup, direct_product, is_p_power
 from .families import (
     abelian_of_type,
     c2sq_semidirect_c4,
@@ -144,7 +144,7 @@ def write_catalog(path: str, entries: Sequence[Tuple[str, CayleyGroup, int]]):
             fh.write("generators " + " ".join(str(int(x)) for x in gens) + "\n")
 
 
-def parse_catalog(path: str, guard: int = 256) -> List[Tuple[str, CayleyGroup, int]]:
+def parse_catalog(path: str, guard: int = ORDER_GUARD) -> List[Tuple[str, CayleyGroup, int]]:
     """Read the format of `write_catalog`; malformed or truncated files raise ValueError.
 
     A name may contain spaces: it is everything between "group" and the

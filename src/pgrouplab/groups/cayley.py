@@ -129,18 +129,20 @@ class CayleyGroup:
 
     # -- subgroup machinery ------------------------------------------------------
 
-    def _span(self, gens: Iterable[int]) -> int:
-        """Bitmask of the subgroup generated by gens; bit x is set iff x is in it.
+    def _span(self, gens: Iterable[int], base: Optional[int] = None) -> int:
+        """Bitmask of <gens, base>; bit x is set iff x is in it.
 
         Dimino's algorithm: a generator already in the span D found so far is
         skipped; a new one y extends D by whole right cosets D*w, one for each
-        coset representative times a generator that lands outside D.
+        coset representative times a generator that lands outside D.  base is
+        the mask of a subgroup that gens normalise (so D*w*b = D*w for b in
+        it), which lets the closure start from it without its generators.
         """
         if self._rows is None:
             self._rows = self.table.tolist()
         rows = self._rows
-        elems = [self.identity]
-        mask = 1 << self.identity
+        elems = [self.identity] if base is None else self._elements(base).tolist()
+        mask = 1 << self.identity if base is None else base
         used: List[int] = []
         for y in gens:
             if mask >> y & 1:
@@ -160,10 +162,18 @@ class CayleyGroup:
                 todo += [rep[s] for s in used]
         return mask
 
+    def _members(self, mask: int) -> np.ndarray:
+        """A bitmask subset as a boolean array over the elements."""
+        raw = np.frombuffer(mask.to_bytes((self.order + 7) // 8, "little"), dtype=np.uint8)
+        return np.unpackbits(raw, count=self.order, bitorder="little").view(bool)
+
     def _elements(self, mask: int) -> np.ndarray:
         """The members of a bitmask subset, as a sorted index array."""
-        raw = np.frombuffer(mask.to_bytes((self.order + 7) // 8, "little"), dtype=np.uint8)
-        return np.flatnonzero(np.unpackbits(raw, bitorder="little")).astype(np.int32)
+        return np.flatnonzero(self._members(mask)).astype(np.int32)
+
+    def _mask(self, elements: np.ndarray) -> int:
+        """The bitmask of an array of distinct element indices."""
+        return sum(1 << x for x in elements.tolist())
 
     def closure(self, gens: Iterable[int]) -> np.ndarray:
         """Subgroup generated by gens, as a sorted index array."""
@@ -216,11 +226,13 @@ class CayleyGroup:
         t = self.table
         return np.flatnonzero((t == t.T).all(axis=1)).astype(np.int32)
 
+    def _commutators(self, xs: np.ndarray) -> List[int]:
+        """Every [x, y] = x^-1 y^-1 x y with x in xs and y in G."""
+        t, inv = self.table, self.inverse
+        return t[t[inv[xs][:, None], inv[None, :]], t[xs]].ravel().tolist()
+
     def derived_subgroup(self) -> np.ndarray:
-        comms = {
-            self.commutator(x, y) for x in range(self.order) for y in range(self.order)
-        }
-        return self.closure(comms)
+        return self._elements(self._span(self._commutators(np.arange(self.order))))
 
     # -- lower p-series ------------------------------------------------------------
 
@@ -231,13 +243,11 @@ class CayleyGroup:
         """G_1 >= G_2 >= ..., ending with the trivial subgroup."""
         if not self.is_p_group(p):
             raise ValueError(f"group of order {self.order} is not a {p}-group")
-        t, inv = self.table, self.inverse
         series = [np.arange(self.order, dtype=np.int32)]
         while series[-1].size > 1:
             g_i = series[-1]
             powers = [self.power(int(x), p) for x in g_i]
-            comms = t[t[inv[g_i][:, None], inv[None, :]], t[g_i]]  # [x, y], x in G_i, y in G
-            series.append(self._elements(self._span(powers + comms.ravel().tolist())))
+            series.append(self._elements(self._span(powers + self._commutators(g_i))))
         return series
 
     def frattini(self, p: int) -> np.ndarray:
@@ -260,7 +270,7 @@ class CayleyGroup:
         if len(u) != n_len:
             raise ValueError(f"profile length {len(u)} != lower p-length {n_len}")
         count = 0
-        for sub in self.normal_subgroups(guard=self.order):
+        for sub in self.normal_subgroups():
             # (N & G_i)G_{i+1}/G_{i+1} has order |N & G_i| / |N & G_{i+1}|, as G_{i+1} <= G_i
             mask = np.zeros(self.order, dtype=bool)
             mask[sub] = True

@@ -6,10 +6,10 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .cayley import CayleyGroup, direct_product, quotient_group
+from .cayley import ORDER_GUARD, CayleyGroup, direct_product, quotient_group
 
 
-def cyclic(n: int, name: Optional[str] = None, guard: int = 256) -> CayleyGroup:
+def cyclic(n: int, name: Optional[str] = None, guard: int = ORDER_GUARD) -> CayleyGroup:
     table = (np.arange(n)[:, None] + np.arange(n)[None, :]) % n
     return CayleyGroup(
         table, name=name or f"C{n}", labels=[f"g^{i}" for i in range(n)], guard=guard
@@ -17,7 +17,7 @@ def cyclic(n: int, name: Optional[str] = None, guard: int = 256) -> CayleyGroup:
 
 
 def abelian_of_type(
-    p: int, lam: Sequence[int], name: Optional[str] = None, guard: int = 256
+    p: int, lam: Sequence[int], name: Optional[str] = None, guard: int = ORDER_GUARD
 ) -> CayleyGroup:
     """Direct product of cyclic groups of orders p^lam_i."""
     if not lam:
@@ -94,8 +94,8 @@ def ut_group(size: int, p: int, name: Optional[str] = None) -> CayleyGroup:
     """Upper unitriangular size x size matrices over F_p."""
     positions = [(i, j) for i in range(size) for j in range(i + 1, size)]
     order = p ** len(positions)
-    if order > 256:
-        raise ValueError(f"UT({size},{p}) has order {order} > 256")
+    if order > ORDER_GUARD:
+        raise ValueError(f"UT({size},{p}) has order {order} > {ORDER_GUARD}")
 
     def to_mat(vals):
         mat = [[1 if i == j else 0 for j in range(size)] for i in range(size)]
@@ -180,8 +180,8 @@ def semidirect_product(
 def wreath_cp_cp(p: int) -> CayleyGroup:
     """C_p wr C_p: base C_p^p with a cyclic coordinate shift on top."""
     order = p ** (p + 1)
-    if order > 256:
-        raise ValueError(f"C{p} wr C{p} has order {order} > 256")
+    if order > ORDER_GUARD:
+        raise ValueError(f"C{p} wr C{p} has order {order} > {ORDER_GUARD}")
     base = list(itertools.product(range(p), repeat=p))
     index = {f: i for i, f in enumerate(base)}
     size = len(base) * p

@@ -8,8 +8,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -94,33 +93,6 @@ def evolve_steps(spec: WalkSpec, n: int) -> Iterator[np.ndarray]:
 def evolve_exact(spec: WalkSpec, n: int) -> np.ndarray:
     for k, dist in enumerate(evolve_steps(spec, n)):
         pass
-    return dist
-
-
-def evolve_exact_rational(spec: WalkSpec, n: int) -> List[Fraction]:
-    """Slow exact-rational oracle for small state spaces."""
-    if spec.n_states > 3**6:
-        raise ValueError("rational mode limited to 3^6 states")
-    p, d = spec.p, spec.d
-    q = Fraction(spec.q_weight)
-    perm_ainv = matrix_index_perm(mat_inverse(spec.a_matrix, p), p, d)
-    states = [tuple(s) for s in state_table(p, d)]
-    index = {s: i for i, s in enumerate(states)}
-    dist = [Fraction(0)] * spec.n_states
-    dist[0] = Fraction(1)
-    moves = []
-    for axis in range(d):
-        for sign in (1, -1):
-            moves.append((axis, sign))
-    for _ in range(n):
-        twisted = [dist[perm_ainv[i]] for i in range(spec.n_states)]
-        out = [(1 - q) * x for x in twisted]
-        for i, s in enumerate(states):
-            for axis, sign in moves:
-                src = list(s)
-                src[axis] = (src[axis] - sign) % p
-                out[i] += q / (2 * d) * twisted[index[tuple(src)]]
-        dist = out
     return dist
 
 

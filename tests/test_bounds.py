@@ -12,6 +12,8 @@ from pgrouplab import groups as gr
 from pgrouplab.freelie import dn_dim
 from pgrouplab.qcombin import d_series, gauss_binom
 
+from exactoracle import SqrtNum, gaussprods_tables_bigint
+
 
 def test_normalthm_frozen():
     assert bd.normalthm_bound([3], [1], None, None, 2) == 7
@@ -93,7 +95,7 @@ def test_gaussprods_single_sum_matches_direct_summation():
 def test_gaussprods_matches_bigint_oracle():
     for p, d in [(2, 6), (3, 6)]:
         fast = bd.gaussprods_tables(p, d, 3)
-        slow = bd.gaussprods_tables_bigint(p, d, 3)
+        slow = gaussprods_tables_bigint(p, d, 3)
         for j in (1, 2):
             for u in range(dn_dim(d, j) + 1):
                 assert abs(fast[j][u].log_p() - slow[j][u].log_p()) < 1e-9
@@ -219,7 +221,7 @@ def test_fnormal_single_active_term():
 
 def test_sqrtnum_rejects_mismatched_primes():
     with pytest.raises(ValueError):
-        bd.SqrtNum.one(2) + bd.SqrtNum.one(3)
+        SqrtNum.one(2) + SqrtNum.one(3)
 
 
 def test_powsum_merge_refuses_inexact_counts():

@@ -250,6 +250,17 @@ def test_closure_matches_product_fixed_point(data):
     assert got.tolist() == want
 
 
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_span_from_a_normal_subgroup_matches_span_from_scratch(data):
+    # a normal N enters the closure as a bare mask, without generators of its own
+    g = data.draw(st.sampled_from(_CLOSURE_GROUPS))
+    h = _relabel(g, np.array(data.draw(st.permutations(range(g.order)))))
+    gens = data.draw(st.lists(st.integers(0, h.order - 1), max_size=3))
+    for n in h.normal_subgroups():
+        assert h._span(gens, h._mask(n)) == h._span(gens + n.tolist()), n.tolist()
+
+
 def test_normal_profile_counts():
     c23 = gr.abelian_of_type(2, (1, 1, 1))
     assert c23.normal_profile_count(2, [1]) == 7 == gauss_binom(3, 1, 2)
@@ -259,6 +270,12 @@ def test_normal_profile_counts():
     assert d8.normal_profile_count(2, [0, 0]) == 1  # trivial subgroup
     with pytest.raises(ValueError):
         d8.normal_profile_count(2, [0])
+
+
+def test_normal_profile_count_keeps_the_subgroup_guard():
+    c256 = gr.cyclic(256)
+    with pytest.raises(ValueError, match="subgroup guard 128"):
+        c256.normal_profile_count(2, [1] * 8)
 
 
 def test_profile_counts_partition_the_normal_subgroups():
@@ -328,6 +345,28 @@ def test_aut_group_elements_are_verified_automorphisms():
     assert len(keys) == 24
 
 
+# (with p, without p) for every bundled catalog group
+GENERATING_TUPLES = {
+    "C8": ([1], [1]), "C4xC2": ([1, 2], [2, 3]), "C2^3": ([1, 2, 4], [1, 2, 4]),
+    "D8": ([1, 4], [1, 4]), "Q8": ([1, 4], [1, 4]),
+    "C16": ([1], [1]), "C4xC4": ([1, 4], [1, 4]), "C2^2xC4": ([1, 2, 4], [4, 5, 6]),
+    "C2^4": ([1, 2, 4, 8], [1, 2, 4, 8]), "C2xC8": ([1, 2], [2, 3]),
+    "D16": ([1, 8], [1, 8]), "Q16": ([1, 8], [1, 8]), "SD16": ([1, 8], [1, 9]),
+    "M4(2)": ([1, 8], [1, 9]), "D8xC2": ([1, 2, 8], [2, 3, 8]), "Q8xC2": ([1, 2, 8], [2, 3, 8]),
+    "D8oC4": ([1, 4, 8], [1, 4, 9]), "(C2xC2):C4": ([1, 4], [1, 5]), "C4:C4": ([1, 4], [1, 4]),
+    "C27": ([1], [1]), "C9xC3": ([1, 3], [3, 4]), "C3^3": ([1, 3, 9], [1, 3, 9]),
+    "E(3^3,exp 3)": ([1, 9], [1, 3, 9]), "E(3^3,exp 3^2)": ([1, 9], [1, 10]),
+    "C125": ([1], [1]), "C25xC5": ([1, 5], [5, 6]), "C5^3": ([1, 5, 25], [1, 5, 25]),
+    "E(5^3,exp 5)": ([1, 25], [1, 5, 25]), "E(5^3,exp 5^2)": ([1, 25], [1, 26]),
+}
+
+
+def test_minimal_generating_tuples_frozen():
+    got = {name: (gr.minimal_generating_tuple(g, p), gr.minimal_generating_tuple(g))
+           for name, g, p in small_catalog_groups(max_order=125)}
+    assert got == GENERATING_TUPLES
+
+
 def test_aut_is_p_group_examples():
     assert gr.aut_is_p_group(gr.dihedral(8), 2)
     assert not gr.aut_is_p_group(gr.quaternion(8), 2)
@@ -346,6 +385,8 @@ def test_frattini_action_kernel_is_p_group():
     for name, g, p in small_catalog_groups(max_order=16):
         auts = gr.aut_group(g, p)
         k = gr.frattini_action_kernel_order(g, p, auts)
+        _, proj = gr.quotient_group(g, g.frattini(p))
+        assert k == sum(1 for a in auts if np.array_equal(proj[a], proj)), name
         while k % p == 0:
             k //= p
         assert k == 1, name

@@ -7,6 +7,8 @@ import pytest
 
 from pgrouplab import walk as wk
 
+from exactoracle import evolve_exact_rational
+
 
 def diag_spec(p, d, a=2, q=1.0):
     mat = tuple(tuple(a if i == j else 0 for j in range(d)) for i in range(d))
@@ -66,8 +68,9 @@ def test_distribution_diagnostics():
 
 
 def test_rational_oracle_agreement():
-    for spec in (wk.scalar_spec(3, 2, 1.0), wk.scalar_spec(5, 2, 0.25), diag_spec(3, 2)):
-        exact = wk.evolve_exact_rational(spec, 6)
+    shear = wk.WalkSpec(p=3, d=3, a_matrix=((1, 1, 0), (0, 1, 2), (0, 0, 1)), q_weight=0.5)
+    for spec in (wk.scalar_spec(3, 2, 1.0), wk.scalar_spec(5, 2, 0.25), diag_spec(3, 2), shear):
+        exact = evolve_exact_rational(spec, 6)
         fast = wk.evolve_exact(spec, 6)
         for a, b in zip(exact, fast):
             assert abs(float(a) - b) < 1e-12
@@ -76,7 +79,7 @@ def test_rational_oracle_agreement():
 
 def test_rational_oracle_guard():
     with pytest.raises(ValueError):
-        wk.evolve_exact_rational(diag_spec(31, 2), 2)
+        evolve_exact_rational(diag_spec(31, 2), 2)
 
 
 # ---------------------------------------------------------------------------
