@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import operator
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
 
@@ -29,11 +30,8 @@ def mat_identity(n: int) -> tuple:
 
 
 def mat_mul(a: tuple, b: tuple, p: int) -> tuple:
-    n, k, m = len(a), len(b), len(b[0])
     bt = tuple(zip(*b))
-    return tuple(
-        tuple(sum(ra[x] * cb[x] for x in range(k)) % p for cb in bt) for ra in a
-    )
+    return tuple(tuple(sum(map(operator.mul, ra, cb)) % p for cb in bt) for ra in a)
 
 
 def mat_vec(a: tuple, v: tuple, p: int) -> tuple:
@@ -50,7 +48,8 @@ def _index_weights(p: int, d: int) -> np.ndarray:
 
 def matrix_index_perm(m, p: int, d: int) -> np.ndarray:
     """Permutation i -> index of M * state(i); a stack of matrices gives one row each."""
-    img = (np.array(m, dtype=np.int64) @ state_table(p, d).T) % p
+    img = np.array(m, dtype=np.int64) @ state_table(p, d).T
+    img %= p  # in place: for a stack of matrices this is the largest array
     return _index_weights(p, d) @ img
 
 

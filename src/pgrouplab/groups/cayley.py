@@ -239,21 +239,25 @@ class CayleyGroup:
     def is_p_group(self, p: int) -> bool:
         return is_p_power(self.order, p)
 
+    def _p_series_step(self, g_i: np.ndarray, p: int) -> np.ndarray:
+        """G_i^p [G_i, G], the term after G_i in the lower p-series."""
+        powers = [self.power(x, p) for x in g_i.tolist()]
+        return self._elements(self._span(powers + self._commutators(g_i)))
+
     def lower_p_series(self, p: int) -> List[np.ndarray]:
         """G_1 >= G_2 >= ..., ending with the trivial subgroup."""
         if not self.is_p_group(p):
             raise ValueError(f"group of order {self.order} is not a {p}-group")
         series = [np.arange(self.order, dtype=np.int32)]
         while series[-1].size > 1:
-            g_i = series[-1]
-            powers = [self.power(int(x), p) for x in g_i]
-            series.append(self._elements(self._span(powers + self._commutators(g_i))))
+            series.append(self._p_series_step(series[-1], p))
         return series
 
     def frattini(self, p: int) -> np.ndarray:
-        """Second term of the lower p-series."""
-        series = self.lower_p_series(p)
-        return series[1] if len(series) > 1 else series[0]
+        """G^p [G, G], the second term of the lower p-series."""
+        if not self.is_p_group(p):
+            raise ValueError(f"group of order {self.order} is not a {p}-group")
+        return self._p_series_step(np.arange(self.order, dtype=np.int32), p)
 
     def min_generators(self, p: int) -> int:
         phi = self.frattini(p)

@@ -7,16 +7,21 @@ two sides are compared through lambda = conjugate(alpha).
 `decompose` computes the powers I, g, ..., g^m once.  By Cayley-Hamilton the
 minimal polynomial is the lowest-degree linear relation among them, read off
 one echelon form of the flattened powers; a zero constant term means g is
-singular, and each factor f is evaluated as f(g) = sum f_i g^i from the same
-powers.
+singular.  Its factors f with their multiplicities e are found once per
+minimal polynomial, by trial division up to half the remaining degree (the
+cofactor left over is irreducible).  Each f is evaluated as f(g) = sum f_i g^i
+from the same powers, and the kernel filtration of f(g) stops at f(g)^e.
 """
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Dict, Iterator, Sequence, Tuple
 
-from .fplin import mat_identity, mat_mul, mat_rank, monic_irreducibles, poly_divmod, poly_trim, rref
+from .fplin import (mat_identity, mat_mul, mat_rank, monic_irreducibles, poly_divmod, poly_mul, poly_pow,
+                    poly_trim, rref)
 from .qcombin import BoundReal, Partition, c_series, d_series, galois_number, gauss_binom
 from .groups.cayley import abelian_type_of_orders
 from .groups.families import abelian_of_type
@@ -139,11 +144,42 @@ def minimal_polynomial(g: tuple, p: int) -> tuple:
     return _minimal_polynomial_of_powers(_powers(g, p), p)
 
 
+@functools.lru_cache(maxsize=None)
+def _factor(minpoly: tuple, p: int) -> tuple:
+    """Monic irreducible factors with multiplicities, ((f, e), ...), of minpoly.
+
+    Trial division by the monic irreducibles in order of degree stops once the
+    degree exceeds half that of the remaining cofactor, which is then 1 or
+    irreducible.  The product of the f^e is checked against minpoly.
+    """
+    factors = []
+    rest = minpoly
+    for f in monic_irreducibles(p, (len(minpoly) - 1) // 2):
+        if 2 * (len(f) - 1) > len(rest) - 1:
+            break
+        e = 0
+        q, r = poly_divmod(rest, f, p)
+        while not r:
+            rest, e = q, e + 1
+            q, r = poly_divmod(rest, f, p)
+        if e:
+            factors.append((f, e))
+    if len(rest) > 1:
+        factors.append((rest, 1))
+    product: tuple = (1,)
+    for f, e in factors:
+        product = poly_mul(product, poly_pow(f, e, p), p)
+    if product != minpoly:
+        raise ArithmeticError("factors do not multiply back to the minimal polynomial")
+    return tuple(factors)
+
+
 def decompose(g: tuple, p: int) -> PrimaryDecomposition:
     """Primary decomposition of F_p^m as an F_p[t]-module with t acting as g.
 
     Exponent partitions come from the kernel filtration of each irreducible
-    factor: the dimension jumps, divided by deg f, are the conjugate partition.
+    factor f of multiplicity e: the dimension jumps of ker f(g)^k, k = 1..e,
+    divided by deg f, are the conjugate partition.
     """
     m = len(g)
     if m > DECOMPOSE_DIM_GUARD:
@@ -152,38 +188,24 @@ def decompose(g: tuple, p: int) -> PrimaryDecomposition:
     minpoly = _minimal_polynomial_of_powers(powers, p)
     if minpoly[0] == 0:
         raise ValueError("matrix is singular")
-    factors = []
-    rest = minpoly
-    for f in monic_irreducibles(p, len(minpoly) - 1):
-        if len(rest) == 1:
-            break
-        q, r = poly_divmod(rest, f, p)
-        if not r:
-            factors.append(f)
-            while not r:
-                rest = q
-                q, r = poly_divmod(rest, f, p)
-    if len(rest) != 1:
-        raise ArithmeticError("minimal polynomial did not factor completely")
     comps = []
-    for f in factors:
+    for f, e in _factor(minpoly, p):
         deg = len(f) - 1
+        fmat = tuple(tuple(sum(map(operator.mul, f, entries)) % p for entries in zip(*rows))
+                     for rows in zip(*powers[:deg + 1]))  # f(g), as deg f <= deg minpoly <= m
+        power = fmat
         prev = 0
         jumps = []
-        power = mat_identity(m)
-        fmat = tuple(tuple(sum(c * pw[i][j] for c, pw in zip(f, powers)) % p for j in range(m))
-                     for i in range(m))  # f(g), as deg f <= deg minpoly <= m
-        while True:
-            power = mat_mul(power, fmat, p)
+        for k in range(e):
+            if k:
+                power = mat_mul(power, fmat, p)
             ker = m - mat_rank(power, p)
-            if ker == prev:
-                break
             step, rem = divmod(ker - prev, deg)
-            if rem:
-                raise ArithmeticError("kernel jump not divisible by factor degree")
+            if step <= 0 or rem:
+                raise ArithmeticError("kernel jump is not a positive multiple of the factor degree")
             jumps.append(step)
             prev = ker
-        comps.append((tuple(f), Partition(jumps).conjugate()))
+        comps.append((f, Partition(jumps).conjugate()))
     dec = PrimaryDecomposition(tuple(sorted(comps)), p, m)
     total = sum(deg_mu(f, mu) for f, mu in dec.components)
     if total != m:
@@ -203,12 +225,16 @@ def is_scalar(g: tuple, p: int) -> bool:
 
 def structural_submodule_count(g: tuple, p: int) -> int:
     """Total submodule count via the primary decomposition and the closed formula."""
-    dec = decompose(g, p)
     out = 1
-    for f, mu in dec.components:
-        q = p ** (len(f) - 1)
-        out *= total_submodules(mu.conjugate(), q)
+    for f, mu in decompose(g, p).components:
+        out *= _component_count(mu, p ** (len(f) - 1))
     return out
+
+
+@functools.lru_cache(maxsize=None)
+def _component_count(mu: Partition, q: int) -> int:
+    """Submodules of one primary component with exponent partition mu."""
+    return total_submodules(mu.conjugate(), q)
 
 
 # ---------------------------------------------------------------------------

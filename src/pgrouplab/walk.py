@@ -6,6 +6,7 @@ are dense float64 arrays; nothing is ever silently renormalized.
 """
 from __future__ import annotations
 
+import collections
 import math
 from dataclasses import dataclass
 from typing import Dict, Iterator, Optional, Sequence, Tuple
@@ -153,28 +154,40 @@ def dist_diagnostics(dist: np.ndarray) -> Tuple[float, float]:
 # the scalar comparison quantity and the diagonalizable-chain bound
 
 
-def d_n_expression(p: int, b: int, q_weight: float, n: int) -> float:
-    """Sum over nonzero frequencies of the squared n-step product for the
-    scalar chain with multiplier b."""
+def d_n_series(p: int, b: int, q_weight: float, n: int) -> Iterator[float]:
+    """D_0, ..., D_n for the scalar chain with multiplier b: the sum over nonzero
+    frequencies y of the squared k-step product, each product advanced by one
+    factor per step."""
     if b % p == 0:
         raise ValueError("b must be a unit mod p")
-    total = 0.0
-    for y in range(1, p):
-        prod = 1.0
-        c = y
-        for _ in range(n):
-            prod *= (1.0 - q_weight + q_weight * math.cos(2 * math.pi * c / p)) ** 2
-            c = (c * b) % p
-        total += prod
-    return total
+    factor = [(1.0 - q_weight + q_weight * math.cos(2 * math.pi * c / p)) ** 2 for c in range(p)]
+    prods = [1.0] * (p - 1)
+    freqs = list(range(1, p))
+    for k in range(n + 1):
+        total = 0.0
+        for prod in prods:
+            total += prod
+        yield total
+        if k < n:
+            prods = [prod * factor[c] for prod, c in zip(prods, freqs)]
+            freqs = [(c * b) % p for c in freqs]
+
+
+def ubthm_series(p: int, d: int, eigenvalues: Sequence[int], q_weight: float, n: int) -> Iterator[float]:
+    """exp(sum_i D_k(a_i, q/8d)) - 1 for k = 0, ..., n: the diagonalizable-chain
+    bound on 4 TV^2 after k steps, with one D series per distinct eigenvalue."""
+    if len(eigenvalues) != d:
+        raise ValueError("need d eigenvalues")
+    series = {a: d_n_series(p, a, q_weight / (8 * d), n) for a in eigenvalues}
+    for _ in range(n + 1):
+        dn = {a: next(it) for a, it in series.items()}
+        s = sum(dn[a] for a in eigenvalues)
+        yield math.expm1(s) if s < 700 else math.inf
 
 
 def ubthm_bound(p: int, d: int, eigenvalues: Sequence[int], q_weight: float, n: int) -> float:
-    """exp(sum_i D_n(a_i, q/8d)) - 1, the diagonalizable-chain bound on 4 TV^2."""
-    if len(eigenvalues) != d:
-        raise ValueError("need d eigenvalues")
-    s = sum(d_n_expression(p, a, q_weight / (8 * d), n) for a in eigenvalues)
-    return math.expm1(s) if s < 700 else math.inf
+    """The bound after n steps, the last value of `ubthm_series`."""
+    return collections.deque(ubthm_series(p, d, eigenvalues, q_weight, n), maxlen=1)[0]
 
 
 @dataclass(frozen=True)

@@ -4,7 +4,9 @@ An oracle for the tests: it shares no code with the modules it checks.  The
 nested profile sums are kept as exact numbers (a + b sqrt(p)) p^(shift/2)
 instead of merged float64 exponent counts, and the walk is evolved in
 `Fraction`s by pushing each state's mass forward through A x, with the
-matrix-vector product written out here.
+matrix-vector product written out here.  The diagonalizable-chain bound is
+recomputed from scratch for each step count, in the same float operations as
+the library's running products, so the two must agree exactly.
 """
 import itertools
 import math
@@ -112,3 +114,25 @@ def evolve_exact_rational(spec, n: int) -> List[Fraction]:
                 out[index[tuple(z)]] += q / (2 * d) * mass
         dist = out
     return dist
+
+
+def d_n_expression(p: int, b: int, q_weight: float, n: int) -> float:
+    """Sum over nonzero frequencies of the squared n-step product for the
+    scalar chain with multiplier b, each product rebuilt from its first factor."""
+    if b % p == 0:
+        raise ValueError("b must be a unit mod p")
+    total = 0.0
+    for y in range(1, p):
+        prod = 1.0
+        c = y
+        for _ in range(n):
+            prod *= (1.0 - q_weight + q_weight * math.cos(2 * math.pi * c / p)) ** 2
+            c = (c * b) % p
+        total += prod
+    return total
+
+
+def ubthm_bound(p: int, d: int, eigenvalues, q_weight: float, n: int) -> float:
+    """exp(sum_i D_n(a_i, q/8d)) - 1, from scratch."""
+    s = sum(d_n_expression(p, a, q_weight / (8 * d), n) for a in eigenvalues)
+    return math.expm1(s) if s < 700 else math.inf

@@ -9,6 +9,8 @@ from pgrouplab.groups import cyclic, dihedral
 from pgrouplab.groups.catalog import write_catalog
 from pgrouplab.qcombin import galois_number
 
+import exactoracle
+
 
 def run(args, capsys):
     code = cli.main(args)
@@ -61,6 +63,18 @@ def test_walk_exact_output(capsys):
                      "--n", "1", "--exact"], capsys)
     assert code == 0
     assert "TV 0.3333" in out
+
+
+def test_walk_exact_csv_bound_column_matches_oracle(tmp_path, capsys):
+    out_csv = tmp_path / "walk.csv"
+    code, _ = run(["walk", "--p", "11", "--d", "2", "--a", "2,0;0,3", "--q", "0.5",
+                   "--n", "30", "--exact", "--out", str(out_csv)], capsys)
+    assert code == 0
+    with open(out_csv, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [row["n"] for row in rows] == [str(k) for k in range(31)]
+    want = [f"{exactoracle.ubthm_bound(11, 2, [2, 3], 0.5, k):.12g}" for k in range(31)]
+    assert [row["ubthm_bound"] for row in rows] == want
 
 
 def test_walk_mc_seeded(tmp_path, capsys):

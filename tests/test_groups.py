@@ -180,6 +180,18 @@ def test_frattini_equals_intersection_of_maximals():
         assert sorted(inter) == g.frattini(p).tolist(), name
 
 
+def test_frattini_is_second_lower_p_series_term_on_relabelled_catalog():
+    rng = np.random.default_rng(5)
+    for p, k in gr.catalog_orders():
+        for name, g in catalog(p, k):
+            perm = rng.permutation(g.order)
+            h = _relabel(g, perm)
+            phi = g.frattini(p)
+            assert phi.tolist() == g.lower_p_series(p)[1].tolist(), name
+            assert h.frattini(p).tolist() == h.lower_p_series(p)[1].tolist(), name
+            assert h.frattini(p).tolist() == sorted(perm[phi].tolist()), name
+
+
 def test_min_generators_frozen():
     assert gr.cyclic(8).min_generators(2) == 1
     assert gr.dihedral(8).min_generators(2) == 2

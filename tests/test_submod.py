@@ -160,6 +160,114 @@ def test_structural_count_equals_brute_force(m, p):
         assert sm.structural_submodule_count(g, p) == fp.invariant_subspace_count(g, p)
 
 
+# Known decompositions: block-diagonal sums of companion matrices of f^e, with
+# f irreducible, so the components are read off the blocks.  Polynomials here
+# are low-to-high coefficient tuples multiplied with numpy, not with fplin.
+
+
+def _pmul(a, b, p):
+    return tuple(int(x) for x in np.convolve(a, b) % p)
+
+
+def _irreducibles(p, deg):
+    """Monic polynomials of degree deg that are no product of two monic factors."""
+    def monic(k):
+        return [tail + (1,) for tail in itertools.product(range(p), repeat=k)]
+    reducible = {_pmul(a, b, p) for k in range(1, deg // 2 + 1) for a in monic(k) for b in monic(deg - k)}
+    return [f for f in monic(deg) if f not in reducible]
+
+
+def _known_module(blocks, p):
+    """g = diag(C(f^e) for (f, e) in blocks) and its components, ((f, partition), ...)."""
+    mats, exps = [], {}
+    for f, e in blocks:
+        fe = (1,)
+        for _ in range(e):
+            fe = _pmul(fe, f, p)
+        mats.append(fp.companion_matrix(fe, p))
+        exps.setdefault(f, []).append(e)
+    comps = tuple(sorted((f, Partition(sorted(es, reverse=True))) for f, es in exps.items()))
+    return fp.block_diag(mats, p), comps
+
+
+def _known_modules():
+    out = []
+    for p, deg in ((2, 4), (2, 5), (3, 4)):  # each f lies above half its degree
+        out += [(p, [(f, 1)]) for f in _irreducibles(p, deg)]
+    for p in (2, 3):
+        units = [f for k in (1, 2) for f in _irreducibles(p, k) if f[0]]
+        out += [(p, [(f, e)]) for f in units for e in (2, 3)]
+    # t + 1, t^2 + t + 1, and cubics over F_2; t + 1, t + 2 and quadratics over F_3
+    l1, q1, c1, c2 = (1, 1), (1, 1, 1), (1, 1, 0, 1), (1, 0, 1, 1)
+    m1, m2, r1, r2 = (1, 1), (2, 1), (1, 0, 1), (2, 1, 1)
+    out += [
+        (2, [(l1, 1), (l1, 1)]), (2, [(l1, 1), (l1, 2)]), (2, [(l1, 2), (l1, 2), (l1, 1)]),
+        (2, [(q1, 1), (l1, 1), (l1, 1)]), (2, [(q1, 1), (q1, 1)]), (2, [(q1, 2), (l1, 1)]),
+        (2, [(c1, 1), (l1, 1)]), (2, [(c1, 1), (c2, 1)]), (2, [(c1, 1), (l1, 2), (l1, 1)]),
+        (2, [(q1, 1), (c1, 1), (l1, 1)]), (2, [(_irreducibles(2, 4)[0], 1), (l1, 1)]),
+        (3, [(m1, 1), (m1, 1), (m1, 2)]), (3, [(m1, 1)] * 4),
+        (3, [(m1, 1), (m1, 2), (r1, 1), (m2, 1)]), (3, [(r1, 1), (r1, 1)]),
+        (3, [(m2, 1), (m1, 1), (m2, 1)]), (3, [(_irreducibles(3, 3)[0], 1), (m2, 1)]),
+        (3, [(r1, 1), (r2, 1), (m1, 1)]),
+    ]
+    return [pytest.param(p, blocks, id=f"p{p}-" + "-".join(f"{''.join(map(str, f))}^{e}" for f, e in blocks))
+            for p, blocks in out]
+
+
+@pytest.mark.parametrize("p,blocks", _known_modules())
+def test_decompose_known_modules(p, blocks):
+    g, comps = _known_module(blocks, p)
+    assert sm.decompose(g, p).components == comps
+    if len(g) <= {2: 6, 3: 4}[p]:
+        assert sm.structural_submodule_count(g, p) == fp.invariant_subspace_count(g, p)
+
+
+def test_known_module_irreducible_counts():
+    # Gauss's count of monic irreducibles: 3, 6 of degree 4, 5 over F_2; 18 of degree 4 over F_3
+    assert [len(_irreducibles(p, k)) for p, k in ((2, 4), (2, 5), (3, 4))] == [3, 6, 18]
+
+
+@pytest.mark.parametrize("p,blocks", [
+    (2, [((1, 1), 3)]),
+    (2, [((1, 1, 1), 2), ((1, 1), 1)]),
+    (3, [((1, 1), 1), ((1, 1), 2), ((1, 0, 1), 1), ((2, 1), 1)]),
+    (2, [((1, 1), 1), ((1, 1), 1), ((1, 1), 1)]),
+])
+def test_decompose_work_counts(monkeypatch, p, blocks):
+    # one rank per power f(g)^1..f(g)^e of each factor, and e - 1 products after g^1..g^m
+    g, comps = _known_module(blocks, p)
+    exps = [mu.parts[0] for _, mu in comps]
+    calls = {"mat_rank": 0, "mat_mul": 0}
+
+    def counted(name):
+        fn = getattr(sm, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(sm, name, counted(name))
+    assert sm.decompose(g, p).components == comps
+    assert calls == {"mat_rank": sum(exps), "mat_mul": len(g) + sum(e - 1 for e in exps)}
+
+
+def test_factoring_runs_once_per_minimal_polynomial(monkeypatch):
+    g, _ = _known_module([((1, 1, 1), 2), ((1, 1), 1), ((1, 1), 1)], 2)
+    first = sm.decompose(g, 2)
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return fp.poly_divmod(*args)
+
+    monkeypatch.setattr(sm, "poly_divmod", counted)
+    conj = ((1, 0, 0, 0, 0, 1),) + fp.mat_identity(6)[1:]  # I + E_{0,5}
+    h = fp.mat_mul(fp.mat_mul(conj, g, 2), fp.mat_inverse(conj, 2), 2)
+    assert h != g and sm.decompose(h, 2) == first and calls == []
+
+
 # ---------------------------------------------------------------------------
 # bounds
 

@@ -7,6 +7,7 @@ import pytest
 
 from pgrouplab import walk as wk
 
+import exactoracle
 from exactoracle import evolve_exact_rational
 
 
@@ -151,24 +152,40 @@ def test_tv_monotone_for_untwisted_chain():
 # the scalar comparison quantity
 
 
+def d_n(p, b, q, n):
+    return list(wk.d_n_series(p, b, q, n))[-1]
+
+
 def test_dn_expression_frozen():
-    assert abs(wk.d_n_expression(3, 2, 1.0, 1) - 0.5) < 1e-12
+    assert abs(d_n(3, 2, 1.0, 1) - 0.5) < 1e-12
     for n in (1, 3, 10):
-        assert abs(wk.d_n_expression(7, 2, 0.0, n) - 6.0) < 1e-12
+        assert abs(d_n(7, 2, 0.0, n) - 6.0) < 1e-12
+    assert list(wk.d_n_series(7, 2, 1.0, 0)) == [6.0]
     with pytest.raises(ValueError):
-        wk.d_n_expression(7, 7, 1.0, 2)
+        d_n(7, 7, 1.0, 2)
 
 
 @pytest.mark.parametrize("n", [1, 2, 5, 9])
 def test_dn_expression_is_chi2_of_scalar_chain(n):
-    lhs = wk.d_n_expression(7, 2, 1.0, n)
+    lhs = d_n(7, 2, 1.0, n)
     rhs = wk.chi2_rhs(wk.fourier_of_walk(wk.scalar_spec(7, 2, 1.0), n))
     assert abs(lhs - rhs) < 1e-9
 
 
 def test_ubthm_bound_single_eigenvalue():
-    want = math.expm1(wk.d_n_expression(3, 2, 1 / 8, 1))
+    want = math.expm1(d_n(3, 2, 1 / 8, 1))
     assert abs(wk.ubthm_bound(3, 1, [2], 1.0, 1) - want) < 1e-12
+
+
+@pytest.mark.parametrize("p,d,eigs,n", [(61, 3, [2, 2, 2], 120), (11, 2, [2, 3], 50), (7, 3, [3, 5, 3], 40)])
+def test_ubthm_series_equals_from_scratch_oracle_at_every_step(p, d, eigs, n):
+    # the running products must reproduce every float of the from-scratch loop
+    series = list(wk.ubthm_series(p, d, eigs, 1.0, n))
+    assert series == [exactoracle.ubthm_bound(p, d, eigs, 1.0, k) for k in range(n + 1)]
+    assert wk.ubthm_bound(p, d, eigs, 1.0, n) == series[-1]
+    for b in set(eigs):
+        assert list(wk.d_n_series(p, b, 1 / (8 * d), n)) == [
+            exactoracle.d_n_expression(p, b, 1 / (8 * d), k) for k in range(n + 1)]
 
 
 def test_ubthm_dominates_tv_small_grid():
