@@ -17,7 +17,7 @@ import numpy as np
 from .qcombin import galois_number
 
 SUBSPACE_GUARD = 10**6
-GL_GUARD = 10**6
+GL_GUARD = 10**6  # fixed: every larger GL(d,p) has a permutation table above PERM_GUARD
 PERM_GUARD = 2**25  # entries of LinearAction.perms (128 MB), and dim x vectors of one element
 
 
@@ -163,11 +163,11 @@ def gl_order(d: int, p: int) -> int:
     return order
 
 
-def gl_enumerate(d: int, p: int, guard: int = GL_GUARD) -> list:
+def gl_enumerate(d: int, p: int) -> list:
     """All invertible d x d matrices over F_p, built row by row."""
     order = gl_order(d, p)
-    if order > guard:
-        raise ValueError(f"|GL({d},{p})| = {order} exceeds guard {guard}")
+    if order > GL_GUARD:
+        raise ValueError(f"|GL({d},{p})| = {order} exceeds guard {GL_GUARD}")
     vectors = list(itertools.product(range(p), repeat=d))
     out: list = []
 
@@ -272,8 +272,8 @@ class LinearAction:
         return len(self.elements)
 
 
-def natural_action(d: int, p: int, guard: int = GL_GUARD) -> LinearAction:
-    return LinearAction(tuple(gl_enumerate(d, p, guard=guard)), p, d, name=f"GL({d},{p}) natural")
+def natural_action(d: int, p: int) -> LinearAction:
+    return LinearAction(tuple(gl_enumerate(d, p)), p, d, name=f"GL({d},{p}) natural")
 
 
 def wedge_pairs(d: int) -> list:
@@ -295,14 +295,14 @@ def wedge_matrix(g: tuple, p: int) -> tuple:
     return tuple(tuple(r) for r in out)
 
 
-def wedge_module(d: int, p: int, guard: int = GL_GUARD) -> LinearAction:
+def wedge_module(d: int, p: int) -> LinearAction:
     """GL(d,p) acting on V + wedge(V,V); split direct-sum model.
 
     For p = 2 the flat sum is only a stand-in for the non-split module that
     actually occurs, so the action carries an explanatory note.
     """
     notes = ("split-model (non-split extension not constructed)",) if p == 2 else ()
-    elems = tuple(wedge_matrix(g, p) for g in gl_enumerate(d, p, guard=guard))
+    elems = tuple(wedge_matrix(g, p) for g in gl_enumerate(d, p))
     return LinearAction(elems, p, d + len(wedge_pairs(d)), name=f"GL({d},{p}) wedge", notes=notes)
 
 

@@ -258,13 +258,8 @@ class LieSubspace:
         polys: Sequence[NcPoly],
         p: int,
         d: int,
-        degrees: Optional[Iterable[int]] = None,
+        degrees: Iterable[int],
     ) -> "LieSubspace":
-        if degrees is None:
-            degs: set = set()
-            for f in polys:
-                degs |= f.degrees()
-            degrees = sorted(degs)
         degrees = tuple(sorted(set(degrees)))
         words = [w for n in degrees for w in words_of_degree(d, n)]
         index = {w: i for i, w in enumerate(words)}
@@ -315,9 +310,9 @@ def com_subspace(w: LieSubspace) -> LieSubspace:
     return w.com()
 
 
-def random_lie_subspace(d: int, n: int, p: int, dim: int, seed: int) -> LieSubspace:
-    """Seeded random subspace of the degree-n Lie component."""
-    basis = lambda_basis(d, n, p)
+def _random_span(degrees: tuple, d: int, p: int, dim: int, seed: int) -> LieSubspace:
+    """Span of dim seeded random combinations of the Lie basis in the given degrees."""
+    basis = [b for n in degrees for b in lambda_basis(d, n, p)]
     rng = random.Random(seed)
     polys = []
     for _ in range(dim):
@@ -325,22 +320,19 @@ def random_lie_subspace(d: int, n: int, p: int, dim: int, seed: int) -> LieSubsp
         for b in basis:
             f = f + b.scale(rng.randrange(p))
         polys.append(f)
-    return LieSubspace.from_polys(polys, p, d, degrees=(n,))
+    return LieSubspace.from_polys(polys, p, d, degrees)
+
+
+def random_lie_subspace(d: int, n: int, p: int, dim: int, seed: int) -> LieSubspace:
+    """Seeded random subspace of the degree-n Lie component."""
+    return _random_span((n,), d, p, dim, seed)
 
 
 def random_graded_lie_subspace(
     d: int, max_deg: int, p: int, dim: int, seed: int
 ) -> LieSubspace:
     """Seeded random subspace of the direct sum of Lie components 1..max_deg."""
-    basis = [b for n in range(1, max_deg + 1) for b in lambda_basis(d, n, p)]
-    rng = random.Random(seed)
-    polys = []
-    for _ in range(dim):
-        f = NcPoly.zero(p, d)
-        for b in basis:
-            f = f + b.scale(rng.randrange(p))
-        polys.append(f)
-    return LieSubspace.from_polys(polys, p, d, degrees=tuple(range(1, max_deg + 1)))
+    return _random_span(tuple(range(1, max_deg + 1)), d, p, dim, seed)
 
 
 @dataclass(frozen=True)

@@ -285,8 +285,6 @@ def are_isomorphic(a: CayleyGroup, b: CayleyGroup, p: Optional[int] = None) -> b
         return False
     if a.center().size != b.center().size:
         return False
-    if a.is_abelian() != b.is_abelian():
-        return False
     s = _Search(a, b, p, NODE_GUARD)
     return s.feasible and next(s.extensions(0, *s.fixed_prefix(0)), None) is not None
 

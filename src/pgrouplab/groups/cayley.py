@@ -1,7 +1,7 @@
 """Finite groups as explicit multiplication tables (numpy int arrays).
 
-Index 0..n-1 labels elements; table[i, j] is the index of the product.
-Construction always verifies the full group axioms exhaustively, so
+The elements are the indices 0..n-1; table[i, j] is the index of the
+product.  Construction always verifies the full group axioms exhaustively, so
 everything downstream can treat a CayleyGroup as trusted.
 
 Inside the class a subgroup is a Python-int bitmask (bit x set iff element x
@@ -27,7 +27,6 @@ class CayleyGroup:
         self,
         table,
         name: str = "G",
-        labels: Optional[Sequence[str]] = None,
         generators: Optional[Sequence[int]] = None,
         data: Optional[Sequence] = None,
         guard: int = ORDER_GUARD,
@@ -41,7 +40,6 @@ class CayleyGroup:
         self.table = table
         self.order = n
         self.name = name
-        self.labels = list(labels) if labels is not None else [str(i) for i in range(n)]
         self.generators = list(generators) if generators is not None else None
         self.data = list(data) if data is not None else None
         self._validate()
@@ -119,9 +117,6 @@ class CayleyGroup:
 
     def is_abelian(self) -> bool:
         return bool(np.array_equal(self.table, self.table.T))
-
-    def conjugate(self, g: int, x: int) -> int:
-        return int(self.table[self.table[g, x], self.inverse[g]])
 
     def commutator(self, x: int, y: int) -> int:
         xy = self.table[x, y]
@@ -331,8 +326,7 @@ def direct_product(
     table = (a.table[:, None, :, None] * nb + b.table[None, :, None, :]).reshape(
         na * nb, na * nb
     )
-    labels = [f"({a.labels[i]},{b.labels[j]})" for i in range(na) for j in range(nb)]
-    return CayleyGroup(table, name=name or f"{a.name}x{b.name}", labels=labels, guard=guard)
+    return CayleyGroup(table, name=name or f"{a.name}x{b.name}", guard=guard)
 
 
 def quotient_group(g: CayleyGroup, normal, name: Optional[str] = None):
@@ -342,18 +336,13 @@ def quotient_group(g: CayleyGroup, normal, name: Optional[str] = None):
         raise ValueError("subgroup is not normal")
     rep_of = np.min(g.table[:, normal], axis=1)
     reps = np.unique(rep_of)
-    index_of = {int(r): i for i, r in enumerate(reps)}
-    proj = np.array([index_of[int(rep_of[x])] for x in range(g.order)], dtype=np.int32)
-    k = reps.size
-    table = np.empty((k, k), dtype=np.int32)
-    for i, r in enumerate(reps):
-        table[i] = proj[g.table[r, reps]]
-    q = CayleyGroup(table, name=name or f"{g.name}/N", labels=[g.labels[int(r)] for r in reps])
+    proj = np.searchsorted(reps, rep_of).astype(np.int32)
+    q = CayleyGroup(proj[g.table[np.ix_(reps, reps)]], name=name or f"{g.name}/N")
     return q, proj
 
 
 def subgroup_as_group(g: CayleyGroup, sub, name: str = "H") -> CayleyGroup:
     sub = np.asarray(sub, dtype=np.int32)
-    pos = {int(x): i for i, x in enumerate(sub)}
-    table = np.array([[pos[int(g.table[x, y])] for y in sub] for x in sub], dtype=np.int32)
-    return CayleyGroup(table, name=name, labels=[g.labels[int(x)] for x in sub])
+    pos = np.full(g.order, -1, dtype=np.int32)  # -1 off sub: a non-subgroup fails validation
+    pos[sub] = np.arange(sub.size)
+    return CayleyGroup(pos[g.table[np.ix_(sub, sub)]], name=name)

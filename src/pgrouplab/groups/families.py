@@ -1,4 +1,9 @@
-"""Constructors for the group families used by the catalogs and tests."""
+"""Constructors for the group families used by the catalogs and tests.
+
+Each table is one numpy expression of the family's defining rule, broadcast
+over a fixed numbering of the elements; the CayleyGroup constructor then
+verifies the group axioms on it exhaustively.
+"""
 from __future__ import annotations
 
 import itertools
@@ -11,9 +16,7 @@ from .cayley import ORDER_GUARD, CayleyGroup, direct_product, quotient_group
 
 def cyclic(n: int, name: Optional[str] = None, guard: int = ORDER_GUARD) -> CayleyGroup:
     table = (np.arange(n)[:, None] + np.arange(n)[None, :]) % n
-    return CayleyGroup(
-        table, name=name or f"C{n}", labels=[f"g^{i}" for i in range(n)], guard=guard
-    )
+    return CayleyGroup(table, name=name or f"C{n}", guard=guard)
 
 
 def abelian_of_type(
@@ -30,7 +33,7 @@ def abelian_of_type(
 
 
 def metacyclic(m: int, n: int, t: int, s: int = 0, name: Optional[str] = None) -> CayleyGroup:
-    """Group <a,b | a^m = 1, b^n = a^s, b a b^-1 = a^t> on elements a^i b^j.
+    """Group <a,b | a^m = 1, b^n = a^s, b a b^-1 = a^t>; a^i b^j is element j*m + i.
 
     Requires t^n = 1 (mod m) and s(t-1) = 0 (mod m) so that the presentation
     is consistent; the Cayley constructor re-verifies associativity anyway.
@@ -41,24 +44,12 @@ def metacyclic(m: int, n: int, t: int, s: int = 0, name: Optional[str] = None) -
         raise ValueError("t^n must be 1 mod m")
     if (s * (t - 1)) % m != 0:
         raise ValueError("a^s must be central")
-    tp = [pow(t, j, m) for j in range(n)]
-    size = m * n
-
-    def idx(i: int, j: int) -> int:
-        return j * m + i
-
-    table = np.empty((size, size), dtype=np.int32)
-    for j1 in range(n):
-        for i1 in range(m):
-            for j2 in range(n):
-                for i2 in range(m):
-                    jj = j1 + j2
-                    carry, j = divmod(jj, n)
-                    i = (i1 + i2 * tp[j1] + s * carry) % m
-                    table[idx(i1, j1), idx(i2, j2)] = idx(i, j)
-    labels = [f"a^{i}b^{j}" for j in range(n) for i in range(m)]
-    gens = [idx(1, 0), idx(0, 1)] if m > 1 and n > 1 else None
-    return CayleyGroup(table, name=name or f"M({m},{n},{t},{s})", labels=labels, generators=gens)
+    tp = np.array([pow(t, j, m) for j in range(n)])
+    j1, i1, j2, i2 = np.ix_(range(n), range(m), range(n), range(m))
+    carry, j = np.divmod(j1 + j2, n)
+    table = (j * m + (i1 + i2 * tp[j1] + s * carry) % m).reshape(m * n, m * n)
+    gens = [1, m] if m > 1 and n > 1 else None
+    return CayleyGroup(table, name=name or f"M({m},{n},{t},{s})", generators=gens)
 
 
 def dihedral(order: int) -> CayleyGroup:
@@ -91,34 +82,22 @@ def modular_group(p: int, k: int) -> CayleyGroup:
 
 
 def ut_group(size: int, p: int, name: Optional[str] = None) -> CayleyGroup:
-    """Upper unitriangular size x size matrices over F_p."""
-    positions = [(i, j) for i in range(size) for j in range(i + 1, size)]
-    order = p ** len(positions)
+    """Upper unitriangular size x size matrices over F_p.
+
+    Element i has the base-p digits of i as its above-diagonal entries, row by row.
+    """
+    rows, cols = np.triu_indices(size, 1)
+    k = rows.size
+    order = p**k
     if order > ORDER_GUARD:
         raise ValueError(f"UT({size},{p}) has order {order} > {ORDER_GUARD}")
-
-    def to_mat(vals):
-        mat = [[1 if i == j else 0 for j in range(size)] for i in range(size)]
-        for (i, j), v in zip(positions, vals):
-            mat[i][j] = v
-        return tuple(tuple(r) for r in mat)
-
-    elements = [to_mat(vals) for vals in itertools.product(range(p), repeat=len(positions))]
-    index = {m: i for i, m in enumerate(elements)}
-
-    def mul(a, b):
-        return tuple(
-            tuple(sum(a[i][k] * b[k][j] for k in range(size)) % p for j in range(size))
-            for i in range(size)
-        )
-
-    table = np.array(
-        [[index[mul(a, b)] for b in elements] for a in elements], dtype=np.int32
-    )
-    labels = ["".join(str(m[i][j]) for (i, j) in positions) for m in elements]
-    return CayleyGroup(
-        table, name=name or f"UT({size},{p})", labels=labels, data=elements
-    )
+    mats = np.tile(np.eye(size, dtype=np.int64), (order, 1, 1))
+    mats[:, rows, cols] = list(itertools.product(range(p), repeat=k))
+    # only the above-diagonal entries of each product vary
+    prod = np.einsum("atk,bkt->abt", mats[:, rows, :], mats[:, :, cols]) % p
+    table = prod @ p ** np.arange(k - 1, -1, -1)
+    data = [tuple(map(tuple, m)) for m in mats.tolist()]
+    return CayleyGroup(table, name=name or f"UT({size},{p})", data=data)
 
 
 def extraspecial(p: int, exponent: str) -> CayleyGroup:
@@ -156,48 +135,30 @@ def semidirect_product(
     act: Callable[[int], np.ndarray],
     name: Optional[str] = None,
 ) -> CayleyGroup:
-    """N x| H with act(h) the permutation of N induced by h.
+    """N x| H with act(h) the permutation of N induced by h; (n, h) is element n*|H| + h.
 
     act(h) must be an automorphism of N for each h and h -> act(h) a
     homomorphism; associativity of the resulting table certifies this.
     """
     nn, nh = n_grp.order, h_grp.order
-    acts = [np.asarray(act(h), dtype=np.int32) for h in range(nh)]
-    size = nn * nh
-    table = np.empty((size, size), dtype=np.int32)
-    for h1 in range(nh):
-        phi = acts[h1]
-        for n1 in range(nn):
-            row = table[n1 * nh + h1]
-            for h2 in range(nh):
-                hh = h_grp.table[h1, h2]
-                row[np.arange(nn) * nh + h2] = (
-                    n_grp.table[n1, phi[np.arange(nn)]] * nh + hh
-                )
-    return CayleyGroup(table, name=name or f"{n_grp.name}:{h_grp.name}")
+    acts = np.array([act(h) for h in range(nh)], dtype=np.int32)
+    n1, h1, n2, h2 = np.ix_(range(nn), range(nh), range(nn), range(nh))
+    table = n_grp.table[n1, acts[h1, n2]] * nh + h_grp.table[h1, h2]
+    return CayleyGroup(table.reshape(nn * nh, nn * nh), name=name or f"{n_grp.name}:{h_grp.name}")
 
 
 def wreath_cp_cp(p: int) -> CayleyGroup:
-    """C_p wr C_p: base C_p^p with a cyclic coordinate shift on top."""
+    """C_p wr C_p = C_p^p x| C_p, the top C_p shifting the coordinates cyclically."""
     order = p ** (p + 1)
     if order > ORDER_GUARD:
         raise ValueError(f"C{p} wr C{p} has order {order} > {ORDER_GUARD}")
-    base = list(itertools.product(range(p), repeat=p))
-    index = {f: i for i, f in enumerate(base)}
-    size = len(base) * p
+    base = np.array(list(itertools.product(range(p), repeat=p)))
+    weights = p ** np.arange(p - 1, -1, -1)
 
-    def idx(f, s):
-        return index[f] * p + s
+    def shift(s: int) -> np.ndarray:
+        return np.roll(base, s, axis=1) @ weights
 
-    table = np.empty((size, size), dtype=np.int32)
-    for f in base:
-        for s in range(p):
-            for g in base:
-                for t in range(p):
-                    shifted = tuple(g[(i - s) % p] for i in range(p))
-                    fg = tuple((x + y) % p for x, y in zip(f, shifted))
-                    table[idx(f, s), idx(g, t)] = idx(fg, (s + t) % p)
-    return CayleyGroup(table, name=f"C{p}wrC{p}")
+    return semidirect_product(abelian_of_type(p, (1,) * p), cyclic(p), shift, name=f"C{p}wrC{p}")
 
 
 def c2sq_semidirect_c4() -> CayleyGroup:

@@ -105,18 +105,18 @@ def step_transform(spec: WalkSpec) -> np.ndarray:
 
 
 def fourier_steps(spec: WalkSpec, n: int) -> Iterator[np.ndarray]:
-    """Yields the transform of P_k for k = 0..n via the twisted product form."""
+    """Yields the transform of P_k for k = 0..n via the twisted product form; it is real."""
     if n > STEP_GUARD:
         raise ValueError("step count exceeds guard")
     at = tuple(zip(*spec.a_matrix))  # transpose
     perm_at = matrix_index_perm(at, spec.p, spec.d)
-    cur = step_transform(spec).astype(complex)
-    f = np.ones(spec.n_states, dtype=complex)
-    yield f.copy()
+    cur = step_transform(spec)
+    f = np.ones(spec.n_states)
+    yield f
     for _ in range(n):
-        f = f * cur
+        f = f * cur  # a new array each step, so a yielded one is never overwritten
         cur = cur[perm_at]
-        yield f.copy()
+        yield f
 
 
 def fourier_of_walk(spec: WalkSpec, n: int) -> np.ndarray:

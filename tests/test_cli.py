@@ -4,7 +4,7 @@ import os
 
 import pytest
 
-from pgrouplab import cli
+from pgrouplab import bounds, cli
 from pgrouplab.groups import cyclic, dihedral
 from pgrouplab.groups.catalog import write_catalog
 from pgrouplab.qcombin import galois_number
@@ -110,6 +110,19 @@ def test_orbits_command(tmp_path, capsys):
     assert len(lines) == 9
 
 
+def test_orbits_natural_module(capsys):
+    code, out = run(["orbits", "--d", "2", "--p", "3", "--module", "natural"], capsys)
+    assert code == 0 and out.strip() == "orbits=3 regular=0"
+
+
+def test_orbits_unsafe_limits_keep_the_gl_guard(capsys):
+    # every GL(d,p) above the guard has a permutation table above PERM_GUARD, so
+    # --unsafe-limits does not widen it: GL(3,5) is refused before enumeration
+    code, out = run(["orbits", "--d", "3", "--p", "5", "--unsafe-limits"], capsys)
+    assert code == 2
+    assert json.loads(out) == {"failures": ["|GL(3,5)| = 1488000 exceeds guard 1000000"]}
+
+
 def test_orbits_gl32_wedge(tmp_path, capsys):
     out_path = tmp_path / "orbits.csv"
     code, out = run(["orbits", "--d", "3", "--p", "2", "--module", "wedge",
@@ -123,9 +136,42 @@ def test_orbits_gl32_wedge(tmp_path, capsys):
 
 
 def test_bounds_command(capsys):
+    # limit1 is 1 plus a positive term: reported as a value, with an empty holds cell
     code, out = run(["bounds", "--kind", "limit1", "--p", "2,3", "--d", "17", "--n", "3"], capsys)
     assert code == 0
-    assert out.count("True") == 2
+    rows = list(csv.reader(out.splitlines()))
+    assert [r[:3] for r in rows] == [["2", "17", "3"], ["3", "17", "3"]]
+    assert all(r[4] == "1" and float(r[5]) > 1 and r[6] == "" for r in rows)
+
+
+def test_bounds_limit2_csv(tmp_path, capsys):
+    out_path = tmp_path / "limit2.csv"
+    code, _ = run(["bounds", "--kind", "limit2", "--p", "2,3,5", "--d", "3,10", "--n", "2,3",
+                   "--out", str(out_path)], capsys)
+    assert code == 0
+    rows = list(csv.reader(out_path.read_text().splitlines()))[1:]
+    assert [tuple(int(x) for x in r[:3]) for r in rows] == [
+        (p, d, n) for p in (2, 3, 5) for d in (3, 10) for n in (2, 3)]
+    for r in rows:
+        p, d, n = (int(x) for x in r[:3])
+        if (d, n) == (3, 2):
+            assert r[3:] == ["", "", "", "", "warn:n = 2 requires d >= 10"]
+            continue
+        rep = bounds.limit2_bounds(p, d, n)
+        assert r[4] == f"{rep.bound_a.value:.12g}"
+        if (d, n) == (3, 3) or (p, d, n) == (2, 10, 2):
+            assert rep.vacuous_b and r[5:] == ["", "False", "vacuous_b"]
+        else:
+            assert r[5] == f"{rep.bound_b.value:.12g}" and r[6:] == ["True", ""]
+            assert float(r[4]) <= float(r[5])
+
+
+def test_lie_expansion_writes_json(tmp_path, capsys):
+    out_path = tmp_path / "lie.json"
+    code, out = run(["lie", "--d", "3", "--n", "2", "--p", "3", "--expansion",
+                     "--expansion-dim", "2", "--out", str(out_path)], capsys)
+    assert code == 0 and out.strip() == "expansion dims 2 -> 6 ok=True"
+    assert json.loads(out_path.read_text()) == {"expansion": True}
 
 
 def test_bounds_dn_kind(capsys):

@@ -21,6 +21,7 @@ def test_no_assert_statements_in_library():
 ORACLE_BANNED = {
     "autcount.py": ("pgrouplab.groups",),
     "exactoracle.py": ("pgrouplab.bounds", "pgrouplab.walk", "matrix_index_perm"),
+    "familyoracle.py": ("pgrouplab.groups",),
 }
 
 
