@@ -3,6 +3,8 @@
 Everything here is exact modular arithmetic on small matrices.  For orbit counting
 a matrix acts as a permutation of the p^m vectors (the big-endian index shared with
 `walk`) and a subspace as the mask of its vectors; RREF stays canonical form and oracle.
+`rref` is the canonical form of a row space; `mat_rank` only counts pivots by forward
+elimination and builds no reduced form.
 """
 from __future__ import annotations
 
@@ -25,6 +27,7 @@ PERM_GUARD = 2**25  # entries of LinearAction.perms (128 MB), and dim x vectors 
 # matrices
 
 
+@functools.lru_cache(maxsize=None)
 def mat_identity(n: int) -> tuple:
     return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
 
@@ -82,7 +85,77 @@ def rref(rows: Iterable[Sequence[int]], p: int) -> tuple:
 
 
 def mat_rank(a: Iterable[Sequence[int]], p: int) -> int:
-    return len(rref(a, p))
+    """Rank by forward elimination: pivots are counted, and no reduced form is built.
+
+    Each row in turn is the pivot row at its first nonzero column, and that column
+    is cleared from the rows still to come by u*row - c*pivot with u the pivot's
+    (unit) entry, so no inverse is needed; rows that vanish are dropped.
+    """
+    rows = [r for r in ([x % p for x in row] for row in a) if any(r)]
+    rank = 0
+    while rows:
+        pivot = rows.pop()
+        rank += 1
+        col = next(j for j, x in enumerate(pivot) if x)
+        u = pivot[col]
+        rest = []
+        for r in rows:
+            c = r[col]
+            if c:
+                r = [(u * x - c * y) % p for x, y in zip(r, pivot)]
+                if not any(r):
+                    continue
+            rest.append(r)
+        rows = rest
+    return rank
+
+
+def characteristic_polynomial(a: tuple, p: int) -> tuple:
+    """det(tI - a) mod p, monic and low-to-high, with no matrix product.
+
+    Hessenberg reduction by similarity: for each column k - 1 a pivot is swapped
+    into row k, row k times u is taken from every row i > k, and column i times u
+    is added to column k.  The leading principal minors p_k of the Hessenberg
+    matrix H then satisfy p_{k+1} = (t - h_kk) p_k - sum_{i<k} h_ik h_{i+1,i}...h_{k,k-1} p_i
+    (H. Cohen, A Course in Computational Algebraic Number Theory, GTM 138, Alg. 2.2.9).
+    """
+    n = len(a)
+    h = [[x % p for x in row] for row in a]
+    for k in range(1, n - 1):
+        piv = next((i for i in range(k, n) if h[i][k - 1]), None)
+        if piv is None:
+            continue
+        if piv != k:
+            h[k], h[piv] = h[piv], h[k]
+            for row in h:
+                row[k], row[piv] = row[piv], row[k]
+        inv = pow(h[k][k - 1], -1, p)
+        hk = h[k]
+        mults = []
+        for i in range(k + 1, n):
+            u = h[i][k - 1] * inv % p
+            if u:
+                h[i] = [(x - u * y) % p for x, y in zip(h[i], hk)]
+                mults.append((i, u))
+        if mults:
+            for row in h:
+                row[k] = (row[k] + sum(u * row[i] for i, u in mults)) % p
+    minors = [[1]]
+    for k in range(n):
+        nxt = [0] + minors[k]  # t p_k
+        c = h[k][k]
+        for j, x in enumerate(minors[k]):
+            nxt[j] -= c * x
+        sub = 1
+        for i in range(k - 1, -1, -1):
+            sub = sub * h[i + 1][i] % p
+            if not sub:
+                break
+            c = sub * h[i][k]
+            for j, x in enumerate(minors[i]):
+                nxt[j] -= c * x
+        minors.append([x % p for x in nxt])
+    return tuple(minors[n])
 
 
 def mat_inverse(a: tuple, p: int) -> tuple:

@@ -4,13 +4,17 @@ The closed submodule-count formula is indexed by conjugates: the module has
 type alpha' while the product formula runs over the parts of alpha.  The abelian-group oracle speaks in group types lambda, so the
 two sides are compared through lambda = conjugate(alpha).
 
-`decompose` computes the powers I, g, ..., g^m once.  By Cayley-Hamilton the
-minimal polynomial is the lowest-degree linear relation among them, read off
-one echelon form of the flattened powers; a zero constant term means g is
-singular.  Its factors f with their multiplicities e are found once per
-minimal polynomial, by trial division up to half the remaining degree (the
-cofactor left over is irreducible).  Each f is evaluated as f(g) = sum f_i g^i
-from the same powers, and the kernel filtration of f(g) stops at f(g)^e.
+`decompose` starts from the characteristic polynomial chi of g, found by
+Hessenberg reduction and the recurrence of its leading principal minors
+(H. Cohen, A Course in Computational Algebraic Number Theory, GTM 138,
+Alg. 2.2.9): O(m^3) scalar operations and no matrix product.  A zero constant
+term means g is singular.  The factors f of chi with their multiplicities a
+are found once per characteristic polynomial, by trial division up to half the
+remaining degree (the cofactor left over is irreducible).  Each f is evaluated
+as f(g) = sum f_i g^i from I, g, ..., g^(max deg f), so a linear factor needs
+no product, and the kernel filtration of f(g) stops when the kernel reaches
+the f-primary dimension a deg f.  Ranks come from forward elimination
+(`fplin.mat_rank`).  The minimal polynomial is read off the decomposition.
 """
 from __future__ import annotations
 
@@ -18,10 +22,10 @@ import functools
 import math
 import operator
 from dataclasses import dataclass
-from typing import Dict, Iterator, Sequence, Tuple
+from typing import Dict, Iterator, Tuple
 
-from .fplin import (mat_identity, mat_mul, mat_rank, monic_irreducibles, poly_divmod, poly_mul, poly_pow,
-                    poly_trim, rref)
+from .fplin import (characteristic_polynomial, mat_identity, mat_mul, mat_rank, monic_irreducibles, poly_divmod,
+                    poly_mul, poly_pow)
 from .qcombin import BoundReal, Partition, c_series, d_series, galois_number, gauss_binom
 from .groups.cayley import abelian_type_of_orders
 from .groups.families import abelian_of_type
@@ -116,87 +120,57 @@ class PrimaryDecomposition:
         return tuple(sorted((f, mu.parts) for f, mu in self.components))
 
 
-def _powers(g: tuple, p: int) -> list:
-    """I, g, ..., g^m for an m x m matrix g."""
-    out = [mat_identity(len(g))]
-    for _ in range(len(g)):
-        out.append(mat_mul(out[-1], g, p))
-    return out
-
-
-def _minimal_polynomial_of_powers(powers: list, p: int) -> tuple:
-    """The lowest-degree monic relation among I, g, ..., g^m, from one echelon form.
-
-    Row j is g^j flattened, tagged with t^j in tag columns ordered t^m down to
-    t^0.  Reduced rows whose pivot lies in a tag column have a zero matrix part
-    and form a basis of the relations; the last has the lowest leading degree.
-    """
-    m = len(powers) - 1
-    rows = [sum(pw, ()) + tuple(int(k == m - j) for k in range(m + 1)) for j, pw in enumerate(powers)]
-    last = rref(rows, p)[-1]
-    if any(last[: m * m]):
-        raise ArithmeticError("no linear relation among I, g, ..., g^m")
-    return poly_trim(last[m * m:][::-1])
-
-
-def minimal_polynomial(g: tuple, p: int) -> tuple:
-    """Monic minimal polynomial of g, low-to-high coefficients."""
-    return _minimal_polynomial_of_powers(_powers(g, p), p)
-
-
 @functools.lru_cache(maxsize=None)
-def _factor(minpoly: tuple, p: int) -> tuple:
-    """Monic irreducible factors with multiplicities, ((f, e), ...), of minpoly.
+def _factor(poly: tuple, p: int) -> tuple:
+    """Monic irreducible factors with multiplicities, ((f, a), ...), of a monic poly.
 
     Trial division by the monic irreducibles in order of degree stops once the
     degree exceeds half that of the remaining cofactor, which is then 1 or
-    irreducible.  The product of the f^e is checked against minpoly.
+    irreducible.  The product of the f^a is checked against poly.
     """
     factors = []
-    rest = minpoly
-    for f in monic_irreducibles(p, (len(minpoly) - 1) // 2):
+    rest = poly
+    for f in monic_irreducibles(p, (len(poly) - 1) // 2):
         if 2 * (len(f) - 1) > len(rest) - 1:
             break
-        e = 0
+        a = 0
         q, r = poly_divmod(rest, f, p)
         while not r:
-            rest, e = q, e + 1
+            rest, a = q, a + 1
             q, r = poly_divmod(rest, f, p)
-        if e:
-            factors.append((f, e))
+        if a:
+            factors.append((f, a))
     if len(rest) > 1:
         factors.append((rest, 1))
     product: tuple = (1,)
-    for f, e in factors:
-        product = poly_mul(product, poly_pow(f, e, p), p)
-    if product != minpoly:
-        raise ArithmeticError("factors do not multiply back to the minimal polynomial")
+    for f, a in factors:
+        product = poly_mul(product, poly_pow(f, a, p), p)
+    if product != poly:
+        raise ArithmeticError("factors do not multiply back to the characteristic polynomial")
     return tuple(factors)
 
 
-def decompose(g: tuple, p: int) -> PrimaryDecomposition:
-    """Primary decomposition of F_p^m as an F_p[t]-module with t acting as g.
+def _primary_components(g: tuple, chi: tuple, p: int) -> tuple:
+    """((f, exponent partition), ...) of g, sorted, from its characteristic polynomial chi.
 
-    Exponent partitions come from the kernel filtration of each irreducible
-    factor f of multiplicity e: the dimension jumps of ker f(g)^k, k = 1..e,
-    divided by deg f, are the conjugate partition.
+    For each irreducible factor f of multiplicity a in chi, the f-primary
+    component has dimension a deg f.  The dimension jumps of ker f(g)^k,
+    k = 1, 2, ..., divided by deg f, are the conjugate of its exponent
+    partition, and the filtration stops when the kernel reaches a deg f.  Every
+    factor costs at least one rank, so a wrong chi ends in ArithmeticError.
     """
     m = len(g)
-    if m > DECOMPOSE_DIM_GUARD:
-        raise ValueError(f"dimension {m} exceeds guard {DECOMPOSE_DIM_GUARD}")
-    powers = _powers(g, p)
-    minpoly = _minimal_polynomial_of_powers(powers, p)
-    if minpoly[0] == 0:
-        raise ValueError("matrix is singular")
+    factors = _factor(chi, p)
+    powers = [mat_identity(m), g]  # I, g, ..., g^(max deg f)
+    for _ in range(2, max((len(f) - 1 for f, _ in factors), default=1) + 1):
+        powers.append(mat_mul(powers[-1], g, p))
     comps = []
-    for f, e in _factor(minpoly, p):
+    for f, a in factors:
         deg = len(f) - 1
         fmat = tuple(tuple(sum(map(operator.mul, f, entries)) % p for entries in zip(*rows))
-                     for rows in zip(*powers[:deg + 1]))  # f(g), as deg f <= deg minpoly <= m
-        power = fmat
-        prev = 0
-        jumps = []
-        for k in range(e):
+                     for rows in zip(*powers[:deg + 1]))  # f(g) = sum f_i g^i
+        power, prev, jumps = fmat, 0, []
+        for k in range(a):  # each jump is at least deg f, so a steps reach a deg f
             if k:
                 power = mat_mul(power, fmat, p)
             ker = m - mat_rank(power, p)
@@ -205,16 +179,37 @@ def decompose(g: tuple, p: int) -> PrimaryDecomposition:
                 raise ArithmeticError("kernel jump is not a positive multiple of the factor degree")
             jumps.append(step)
             prev = ker
-        comps.append((f, Partition(jumps).conjugate()))
-    dec = PrimaryDecomposition(tuple(sorted(comps)), p, m)
-    total = sum(deg_mu(f, mu) for f, mu in dec.components)
-    if total != m:
-        raise ArithmeticError("component dimensions do not add up")
-    return dec
+            if ker >= a * deg:
+                break
+        if prev != a * deg:
+            raise ArithmeticError("kernel of f(g)^k does not end at dimension a deg f")
+        comps.append((f, _exponent_partition(tuple(jumps))))
+    return tuple(sorted(comps))
 
 
-def deg_mu(f: Sequence[int], mu: Partition) -> int:
-    return (len(f) - 1) * mu.size
+@functools.lru_cache(maxsize=None)
+def _exponent_partition(jumps: tuple) -> Partition:
+    """The partition whose conjugate is the (weakly decreasing) kernel jumps."""
+    return Partition(jumps).conjugate()
+
+
+def decompose(g: tuple, p: int) -> PrimaryDecomposition:
+    """Primary decomposition of F_p^m as an F_p[t]-module with t acting as an invertible g."""
+    m = len(g)
+    if m > DECOMPOSE_DIM_GUARD:
+        raise ValueError(f"dimension {m} exceeds guard {DECOMPOSE_DIM_GUARD}")
+    chi = characteristic_polynomial(g, p)
+    if chi[0] == 0:
+        raise ValueError("matrix is singular")
+    return PrimaryDecomposition(_primary_components(g, chi, p), p, m)
+
+
+def minimal_polynomial(g: tuple, p: int) -> tuple:
+    """Monic minimal polynomial of g, low-to-high: the product of f^(mu_1) over its components."""
+    out: tuple = (1,)
+    for f, mu in _primary_components(g, characteristic_polynomial(g, p), p):
+        out = poly_mul(out, poly_pow(f, mu.part(1), p), p)
+    return out
 
 
 def is_scalar(g: tuple, p: int) -> bool:

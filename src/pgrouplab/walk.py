@@ -71,7 +71,12 @@ def point_mass(spec: WalkSpec) -> np.ndarray:
 
 
 def evolve_steps(spec: WalkSpec, n: int) -> Iterator[np.ndarray]:
-    """Yields P_0, P_1, ..., P_n by exact convolution."""
+    """Yields P_0, P_1, ..., P_n by exact convolution; each P_k is a new array.
+
+    Per step, P_k is permuted by A^-1 into a buffer; then for every axis the sum
+    of the two neighbours, taken in place by slices with wrap-around, is scaled
+    by q / 2d and added to (1 - q) times the permuted P_k.
+    """
     if n > STEP_GUARD:
         raise ValueError("step count exceeds guard")
     p, d, q = spec.p, spec.d, spec.q_weight
@@ -79,14 +84,18 @@ def evolve_steps(spec: WalkSpec, n: int) -> Iterator[np.ndarray]:
     dist = point_mass(spec)
     yield dist
     shape = (p,) * d
+    twisted = np.empty(spec.n_states)
+    nbrs = np.empty(shape)
     for _ in range(n):
-        twisted = dist[perm_ainv]
-        r = twisted.reshape(shape)
+        np.take(dist, perm_ainv, out=twisted, mode="clip")  # a permutation: clip never acts
         out = (1.0 - q) * twisted
         for axis in range(d):
-            out = out + (q / (2 * d)) * (
-                np.roll(r, 1, axis=axis) + np.roll(r, -1, axis=axis)
-            ).reshape(-1)
+            r, s = np.moveaxis(twisted.reshape(shape), axis, 0), np.moveaxis(nbrs, axis, 0)
+            np.add(r[:-2], r[2:], out=s[1:-1])  # x[i - 1] + x[i + 1], p >= 3
+            np.add(r[-1:], r[1:2], out=s[:1])
+            np.add(r[-2:-1], r[:1], out=s[-1:])
+            nbrs *= q / (2 * d)
+            out += nbrs.reshape(-1)
         dist = out
         yield dist
 

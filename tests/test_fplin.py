@@ -8,7 +8,8 @@ import hypothesis.strategies as st
 
 from pgrouplab import fplin as fp
 from pgrouplab.qcombin import galois_number, gauss_binom
-from smallfield import SmallField
+from charpolyoracle import cayley_hamilton_holds, charpoly_leibniz
+from smallfield import SmallField, rref_field
 
 
 def random_matrix(rng, m, p):
@@ -40,6 +41,56 @@ def test_mat_inverse_roundtrip():
 def test_mat_inverse_rejects_singular():
     with pytest.raises(ValueError):
         fp.mat_inverse(((1, 1), (1, 1)), 2)
+
+
+def _rank_cases():
+    rng = random.Random(31)
+    cases = [(2, ((0, 0, 0), (0, 0, 0))), (3, ((0,),)), (5, ((1, 2), (2, 4))),  # zero and singular
+             (2, ((1, 1, 0), (0, 1, 1), (1, 0, 1))), (7, ((3, 1, 4, 1, 5),)),
+             (3, ((1, 2), (2, 1), (0, 0), (1, 1)))]
+    for p in (2, 3, 5, 7):
+        for rows, cols in ((3, 3), (4, 4), (2, 5), (5, 2), (6, 6)):
+            mat = [[rng.randrange(p) for _ in range(cols)] for _ in range(rows)]
+            cases.append((p, tuple(map(tuple, mat))))
+            mat[-1] = [(a + 2 * b) % p for a, b in zip(mat[0], mat[1 % rows])]  # a dependent row
+            cases.append((p, tuple(map(tuple, mat))))
+    return cases
+
+
+def test_mat_rank_matches_small_field_rref():
+    for p, mat in _rank_cases():
+        assert fp.mat_rank(mat, p) == len(rref_field(mat, SmallField(p))), (p, mat)
+    assert fp.mat_rank((), 2) == 0
+    assert fp.mat_rank(((4, 2), (2, 1)), 3) == 1  # entries are reduced mod p
+
+
+def _charpoly_cases():
+    cases = [(5, g) for g in fp.gl_enumerate(2, 5)] + [(2, g) for g in fp.gl_enumerate(3, 2)]
+    rng = random.Random(47)
+    for p in (2, 3, 5, 7):
+        for m in range(1, 9):
+            for k in range(6 if m <= 6 else 2):
+                mat = [[rng.randrange(p) for _ in range(m)] for _ in range(m)]
+                if k == 0:  # singular: the last row repeats the first, or is zero when m = 1
+                    mat[-1] = mat[0] if m > 1 else [0]
+                cases.append((p, tuple(map(tuple, mat))))
+    return cases
+
+
+def test_characteristic_polynomial_matches_leibniz_expansion():
+    singular = 0
+    for p, g in _charpoly_cases():
+        chi = fp.characteristic_polynomial(g, p)
+        assert chi == charpoly_leibniz(g, p), (p, g)
+        assert len(chi) == len(g) + 1 and chi[-1] == 1
+        singular += chi[0] == 0
+    assert singular >= 32  # at least the forced one for every (p, m)
+
+
+def test_characteristic_polynomial_annihilates_its_matrix():
+    for p, g in _charpoly_cases():
+        assert cayley_hamilton_holds(g, fp.characteristic_polynomial(g, p), p), (p, g)
+    assert not cayley_hamilton_holds(((1, 1), (0, 1)), (1, 1), 2)  # t + 1 misses the Jordan block
 
 
 @pytest.mark.parametrize("m,p,want", [(2, 2, 5), (3, 3, 28), (1, 5, 2)])

@@ -20,6 +20,7 @@ def test_no_assert_statements_in_library():
 # pgrouplab modules it checks and the fast-path helpers those modules use.
 ORACLE_BANNED = {
     "autcount.py": ("pgrouplab.groups",),
+    "charpolyoracle.py": ("pgrouplab",),
     "exactoracle.py": ("pgrouplab.bounds", "pgrouplab.walk", "matrix_index_perm"),
     "familyoracle.py": ("pgrouplab.groups",),
 }

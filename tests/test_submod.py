@@ -10,6 +10,7 @@ import numpy as np
 from pgrouplab import fplin as fp
 from pgrouplab import submod as sm
 from pgrouplab.qcombin import Partition, galois_number
+from charpolyoracle import cayley_hamilton_holds, charpoly_leibniz
 
 
 def all_partitions_up_to(total):
@@ -234,9 +235,11 @@ def test_known_module_irreducible_counts():
     (2, [((1, 1), 1), ((1, 1), 1), ((1, 1), 1)]),
 ])
 def test_decompose_work_counts(monkeypatch, p, blocks):
-    # one rank per power f(g)^1..f(g)^e of each factor, and e - 1 products after g^1..g^m
+    # one rank per filtration step f(g)^1..f(g)^e of each factor; g^2..g^(max deg f),
+    # then e - 1 products per factor
     g, comps = _known_module(blocks, p)
     exps = [mu.parts[0] for _, mu in comps]
+    max_deg = max(len(f) - 1 for f, _ in comps)
     calls = {"mat_rank": 0, "mat_mul": 0}
 
     def counted(name):
@@ -250,10 +253,10 @@ def test_decompose_work_counts(monkeypatch, p, blocks):
     for name in calls:
         monkeypatch.setattr(sm, name, counted(name))
     assert sm.decompose(g, p).components == comps
-    assert calls == {"mat_rank": sum(exps), "mat_mul": len(g) + sum(e - 1 for e in exps)}
+    assert calls == {"mat_rank": sum(exps), "mat_mul": max_deg - 1 + sum(e - 1 for e in exps)}
 
 
-def test_factoring_runs_once_per_minimal_polynomial(monkeypatch):
+def test_factoring_runs_once_per_characteristic_polynomial(monkeypatch):
     g, _ = _known_module([((1, 1, 1), 2), ((1, 1), 1), ((1, 1), 1)], 2)
     first = sm.decompose(g, 2)
     calls = []
@@ -266,6 +269,40 @@ def test_factoring_runs_once_per_minimal_polynomial(monkeypatch):
     conj = ((1, 0, 0, 0, 0, 1),) + fp.mat_identity(6)[1:]  # I + E_{0,5}
     h = fp.mat_mul(fp.mat_mul(conj, g, 2), fp.mat_inverse(conj, 2), 2)
     assert h != g and sm.decompose(h, 2) == first and calls == []
+
+
+@pytest.mark.parametrize("p,blocks", _known_modules())
+def test_characteristic_polynomial_of_known_modules(p, blocks):
+    g, _ = _known_module(blocks, p)
+    chi = (1,)
+    for f, e in blocks:
+        for _ in range(e):
+            chi = _pmul(chi, f, p)
+    assert fp.characteristic_polynomial(g, p) == charpoly_leibniz(g, p) == chi
+    assert cayley_hamilton_holds(g, chi, p)
+
+
+# g, its true characteristic polynomial, a wrong one (monic, unit constant, same
+# degree) and the filtration check that must refuse it
+WRONG_CHI = [
+    # t - 3 is no eigenvalue: its single rank finds a zero kernel, though a = 1
+    (((1, 0), (0, 2)), 5, (2, 2, 1), (3, 1, 1), "positive multiple"),
+    # (t - 1)(t - 2)^2 for J_2(1) + (2): ker(g - 2I)^2 stalls at 1
+    (((1, 1, 0), (0, 1, 0), (0, 0, 2)), 5, (3, 0, 1, 1), (1, 3, 0, 1), "positive multiple"),
+    # (t + 1)(t^2 + t + 1) for the identity: ker(g + I) is 3, past a deg f = 1
+    (fp.mat_identity(3), 2, (1, 1, 1, 1), (1, 0, 0, 1), "does not end"),
+    # (t + 1)^2 for an irreducible quadratic's companion matrix over F_3
+    (fp.companion_matrix((2, 1, 1), 3), 3, (2, 1, 1), (1, 2, 1), "positive multiple"),
+]
+
+
+@pytest.mark.parametrize("g,p,chi,wrong,match", WRONG_CHI)
+def test_wrong_characteristic_polynomial_is_refused(monkeypatch, g, p, chi, wrong, match):
+    assert fp.characteristic_polynomial(g, p) == chi != wrong and wrong[-1] == 1 and wrong[0]
+    sm.decompose(g, p)
+    monkeypatch.setattr(sm, "characteristic_polynomial", lambda *args: wrong)
+    with pytest.raises(ArithmeticError, match=match):
+        sm.decompose(g, p)
 
 
 # ---------------------------------------------------------------------------

@@ -78,6 +78,33 @@ def test_rational_oracle_agreement():
         assert sum(exact) == Fraction(1)
 
 
+def _rolled_steps(spec, n):
+    """P_0, ..., P_n by a stencil of np.roll copies: the floating-point operations
+    of `evolve_steps`, in the same order."""
+    p, d, q = spec.p, spec.d, spec.q_weight
+    perm = wk.matrix_index_perm(wk.mat_inverse(spec.a_matrix, p), p, d)
+    dist = wk.point_mass(spec)
+    yield dist
+    for _ in range(n):
+        r = dist[perm].reshape((p,) * d)
+        out = (1.0 - q) * r.reshape(-1)
+        for axis in range(d):
+            out = out + (q / (2 * d)) * (np.roll(r, 1, axis=axis) + np.roll(r, -1, axis=axis)).reshape(-1)
+        dist = out
+        yield dist
+
+
+@pytest.mark.parametrize("spec", [
+    wk.scalar_spec(5, 2, 0.3), diag_spec(7, 2, q=0.7), diag_spec(3, 3),
+    wk.WalkSpec(p=3, d=3, a_matrix=((1, 1, 0), (0, 1, 2), (0, 0, 1)), q_weight=0.5),
+    wk.WalkSpec(p=11, d=2, a_matrix=((2, 1), (0, 4)), q_weight=0.9),
+], ids=["scalar5", "diag7", "diag3x3", "shear3x3", "upper11"])
+def test_evolve_steps_match_rolled_stencil_bit_for_bit(spec):
+    steps = list(wk.evolve_steps(spec, 25))
+    assert [x.tobytes() for x in steps] == [y.tobytes() for y in _rolled_steps(spec, 25)]
+    assert len({id(x) for x in steps}) == len(steps)  # no yielded array is reused
+
+
 def test_rational_oracle_guard():
     with pytest.raises(ValueError):
         evolve_exact_rational(diag_spec(31, 2), 2)
