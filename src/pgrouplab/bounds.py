@@ -295,35 +295,3 @@ def dn_upper(d: int, n: int) -> bool:
         raise ValueError("requires d >= 5")
     return Fraction(dn_dim(d, n)) <= Fraction(10 * d**n, 7 * n)
 
-
-# ---------------------------------------------------------------------------
-# grid scan rows (CSV-ready)
-
-
-@dataclass(frozen=True)
-class GridRow:
-    p: int
-    d: int
-    n: int
-    profile: str
-    lhs: str
-    rhs: str
-    holds: bool
-    warnings: str
-
-
-def limit1_grid(ps: Sequence[int], ds: Sequence[int], ns: Sequence[int]) -> List[GridRow]:
-    rows = []
-    for p in sorted(ps):
-        for d in sorted(ds):
-            for n in sorted(ns):
-                rep = limit1_bound(p, d, n)
-                rows.append(
-                    GridRow(
-                        p=p, d=d, n=n, profile="",
-                        lhs="1", rhs=f"{rep.value.value:.12g}",
-                        holds=rep.value.lo >= 1.0 - 1e-9,
-                        warnings=";".join(rep.warnings),
-                    )
-                )
-    return sorted(rows, key=lambda r: (r.p, r.d, r.n))

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import json
 import sys
 from typing import List, Optional
@@ -20,7 +21,9 @@ from .groups.catalog import parse_catalog
 from .groups.cayley import ORDER_GUARD
 
 
-def _write_manifest(out_path: Optional[str], command: str, params: dict, seed: Optional[int]):
+def _write_manifest(out_path: Optional[str], command: str, params: dict, seed: Optional[int],
+                    **in_force: int):
+    """`in_force` replaces a default guard by the value a command used, e.g. under --unsafe-limits."""
     if not out_path:
         return
     from .fplin import GL_GUARD, SUBSPACE_GUARD
@@ -37,6 +40,7 @@ def _write_manifest(out_path: Optional[str], command: str, params: dict, seed: O
             "gl_order": GL_GUARD,
             "walk_states": STATE_GUARD,
             "walk_steps": STEP_GUARD,
+            **in_force,
         },
     }
     with open(out_path + ".manifest.json", "w") as fh:
@@ -76,7 +80,8 @@ UNSAFE_GUARD = 10**12
 
 
 def cmd_census(args) -> List[str]:
-    guard = UNSAFE_GUARD if args.unsafe_limits else ORDER_GUARD
+    # --unsafe-limits widens the guard on --catalog groups; the bundled catalog keeps the default
+    guard = UNSAFE_GUARD if args.unsafe_limits and args.catalog else ORDER_GUARD
     entries = None
     if args.catalog:
         entries = []
@@ -88,7 +93,8 @@ def cmd_census(args) -> List[str]:
     hits, total, rows = run_census(args.p, args.k, entries=entries)
     out_rows = [[r.name, r.aut_order, str(r.aut_is_p_group).lower()] for r in rows]
     _write_csv(args.out, ["name", "aut_order", "is_p_group"], out_rows)
-    _write_manifest(args.out, "census", {"p": args.p, "k": args.k, "catalog": args.catalog}, None)
+    _write_manifest(args.out, "census", {"p": args.p, "k": args.k, "catalog": args.catalog}, None,
+                    group_order=guard)
     print(f"{hits}/{total}")
     return []
 
@@ -96,30 +102,25 @@ def cmd_census(args) -> List[str]:
 def cmd_bounds(args) -> List[str]:
     rows = []
     ps, ds, ns = _int_list(args.p), _int_list(args.d), _int_list(args.n)
-    if args.kind == "limit1":
-        # the bound is 1 plus a positive term: a value to report, with nothing to check
-        rows = [[r.p, r.d, r.n, r.profile, r.lhs, r.rhs, "", r.warnings]
-                for r in bounds.limit1_grid(ps, ds, ns)]
-    elif args.kind == "limit2":
-        for p in sorted(ps):
-            for d in sorted(ds):
-                for n in sorted(ns):
-                    try:
-                        rep = bounds.limit2_bounds(p, d, n)
-                    except ValueError as exc:
-                        rows.append([p, d, n, "", "", "", "", f"warn:{exc}"])
-                        continue
-                    b = "" if rep.vacuous_b else f"{rep.bound_b.value:.12g}"
-                    rows.append([p, d, n, "", f"{rep.bound_a.value:.12g}", b,
-                                 not rep.vacuous_b, "vacuous_b" if rep.vacuous_b else ""])
-    elif args.kind == "dn":
-        for d in sorted(ds):
-            for n in sorted(ns):
-                first, second, third = bounds.dn_inequalities(d, n)
-                rows.append([0, d, n, "", "", "", all((first, second, third)),
-                             f"first={first};second={second};third={third}"])
-    else:
-        raise ValueError(f"unknown kind {args.kind}")
+    # the dn inequalities do not depend on p: their rows carry p = 0
+    for p, d, n in itertools.product([0] if args.kind == "dn" else sorted(ps), sorted(ds), sorted(ns)):
+        if args.kind == "limit1":
+            # the bound is 1 plus a positive term: a value to report, with nothing to check
+            rep = bounds.limit1_bound(p, d, n)
+            rows.append([p, d, n, "", "1", f"{rep.value.value:.12g}", "", ";".join(rep.warnings)])
+        elif args.kind == "limit2":
+            try:
+                rep = bounds.limit2_bounds(p, d, n)
+            except ValueError as exc:
+                rows.append([p, d, n, "", "", "", "", f"warn:{exc}"])
+                continue
+            b = "" if rep.vacuous_b else f"{rep.bound_b.value:.12g}"
+            rows.append([p, d, n, "", f"{rep.bound_a.value:.12g}", b,
+                         not rep.vacuous_b, "vacuous_b" if rep.vacuous_b else ""])
+        else:
+            first, second, third = bounds.dn_inequalities(d, n)
+            rows.append([p, d, n, "", "", "", all((first, second, third)),
+                         f"first={first};second={second};third={third}"])
     _write_csv(args.out, ["p", "d", "n", "profile", "lhs", "rhs", "holds", "warnings"], rows)
     _write_manifest(args.out, "bounds", {"kind": args.kind, "p": ps, "d": ds, "n": ns}, None)
     for row in rows:
@@ -182,10 +183,10 @@ def cmd_orbits(args) -> List[str]:
     failures = []
     if args.module == "natural":
         action = fplin.natural_action(args.d, args.p)
-    elif args.module == "wedge":
-        action = fplin.wedge_module(args.d, args.p)
     else:
-        raise ValueError(f"unknown module {args.module}")
+        action = fplin.wedge_module(args.d, args.p)
+    for note in action.notes:
+        print(f"note: {note}", file=sys.stderr)
     cf_count, _ = fplin.cauchy_frobenius(action)
     census = fplin.regular_orbits(action)
     if cf_count != census.orbit_count:
@@ -224,7 +225,7 @@ def cmd_walk(args) -> List[str]:
             ub = next(ubs) if diagonal else ""
             rows.append([k, f"{tv:.12g}", f"{chi:.12g}", f"{ub:.12g}" if ub != "" else ""])
         print(f"TV {float(rows[-1][1]):.4f}")
-    elif args.mode == "mc":
+    else:
         if args.trials < spec.n_states:
             print(f"warning: {args.trials} trials for {spec.n_states} states "
                   f"({args.trials / spec.n_states:.3g} per state); the Monte-Carlo TV "
@@ -233,8 +234,6 @@ def cmd_walk(args) -> List[str]:
         tv = walk.tv_distance(dist)
         rows.append([args.n, f"{tv:.12g}", "", ""])
         print(f"TV {tv:.4f}")
-    else:
-        raise ValueError(f"unknown mode {args.mode}")
     _write_csv(args.out, ["n", "tv", "chi2_rhs", "ubthm_bound"], rows)
     _write_manifest(
         args.out, "walk",
@@ -244,6 +243,7 @@ def cmd_walk(args) -> List[str]:
             "tolerances": {"distribution_sum": 1e-9, "entry_floor": -1e-12},
         },
         args.seed,
+        walk_states=state_guard,
     )
     return failures
 
@@ -279,29 +279,35 @@ def cmd_selftest(args) -> List[str]:
 # ---------------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports malformed arguments as ValueError, so that `main` lists them; subparsers inherit it."""
+
+    def error(self, message):
+        raise ValueError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="pgrouplab")
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--unsafe-limits", action="store_true",
-                        help="widen the per-module resource guards")
+    parser = _Parser(prog="pgrouplab")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_census = sub.add_parser("census", parents=[common], help="automorphism-group census over a catalog")
+    p_census = sub.add_parser("census", help="automorphism-group census over a catalog")
     p_census.add_argument("--p", type=int, required=True)
     p_census.add_argument("--k", type=int, required=True)
     p_census.add_argument("--catalog", type=str, default=None)
+    p_census.add_argument("--unsafe-limits", action="store_true",
+                          help="widen the group-order guard on --catalog groups")
     p_census.add_argument("--out", type=str, default=None)
     p_census.set_defaults(func=cmd_census)
 
-    p_bounds = sub.add_parser("bounds", parents=[common], help="evaluate bound expressions over a grid")
-    p_bounds.add_argument("--kind", type=str, default="limit1")
+    p_bounds = sub.add_parser("bounds", help="evaluate bound expressions over a grid")
+    p_bounds.add_argument("--kind", choices=("limit1", "limit2", "dn"), default="limit1")
     p_bounds.add_argument("--p", type=str, default="2")
     p_bounds.add_argument("--d", type=str, default="6")
     p_bounds.add_argument("--n", type=str, default="3")
     p_bounds.add_argument("--out", type=str, default=None)
     p_bounds.set_defaults(func=cmd_bounds)
 
-    p_lie = sub.add_parser("lie", parents=[common], help="free Lie algebra reports")
+    p_lie = sub.add_parser("lie", help="free Lie algebra reports")
     p_lie.add_argument("--d", type=int, required=True)
     p_lie.add_argument("--n", type=int, required=True)
     p_lie.add_argument("--p", type=int, default=2)
@@ -314,35 +320,36 @@ def build_parser() -> argparse.ArgumentParser:
     p_lie.add_argument("--out", type=str, default=None)
     p_lie.set_defaults(func=cmd_lie)
 
-    p_sub = sub.add_parser("submod", parents=[common], help="submodule counts")
+    p_sub = sub.add_parser("submod", help="submodule counts")
     p_sub.add_argument("--alpha", type=str, required=True)
     p_sub.add_argument("--beta", type=str, default=None)
     p_sub.add_argument("--q", type=int, required=True)
     p_sub.add_argument("--out", type=str, default=None)
     p_sub.set_defaults(func=cmd_submod)
 
-    p_orb = sub.add_parser("orbits", parents=[common], help="orbit census for GL actions on subspaces")
+    p_orb = sub.add_parser("orbits", help="orbit census for GL actions on subspaces")
     p_orb.add_argument("--d", type=int, required=True)
     p_orb.add_argument("--p", type=int, required=True)
-    p_orb.add_argument("--module", type=str, default="natural")
+    p_orb.add_argument("--module", choices=("natural", "wedge"), default="natural")
     p_orb.add_argument("--out", type=str, default=None)
     p_orb.set_defaults(func=cmd_orbits)
 
-    p_walk = sub.add_parser("walk", parents=[common], help="twisted-walk experiments")
+    p_walk = sub.add_parser("walk", help="twisted-walk experiments")
     p_walk.add_argument("--p", type=int, required=True)
     p_walk.add_argument("--d", type=int, required=True)
     p_walk.add_argument("--a", type=str, required=True)
     p_walk.add_argument("--q", type=float, default=1.0)
     p_walk.add_argument("--n", type=int, required=True)
-    p_walk.add_argument("--mode", type=str, default=None)
-    p_walk.add_argument("--exact", dest="mode", action="store_const", const="exact")
-    p_walk.add_argument("--mc", dest="mode", action="store_const", const="mc")
+    mode = p_walk.add_mutually_exclusive_group()
+    mode.add_argument("--exact", dest="mode", action="store_const", const="exact")
+    mode.add_argument("--mc", dest="mode", action="store_const", const="mc")
     p_walk.add_argument("--trials", type=int, default=10000)
     p_walk.add_argument("--seed", type=int, default=0)
+    p_walk.add_argument("--unsafe-limits", action="store_true", help="widen the walk-state guard")
     p_walk.add_argument("--out", type=str, default=None)
-    p_walk.set_defaults(func=cmd_walk)
+    p_walk.set_defaults(func=cmd_walk, mode="exact")
 
-    p_self = sub.add_parser("selftest", parents=[common], help="fast cross-module checks")
+    p_self = sub.add_parser("selftest", help="fast cross-module checks")
     p_self.add_argument("--out", type=str, default=None)
     p_self.set_defaults(func=cmd_selftest)
 
@@ -350,11 +357,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if getattr(args, "mode", "unset") is None:
-        args.mode = "exact"
     try:
+        args = build_parser().parse_args(argv)
         failures = args.func(args)
     except (ValueError, OSError) as exc:
         print(json.dumps({"failures": [str(exc)]}))

@@ -229,6 +229,17 @@ def enumerate_subspaces(m: int, p: int) -> Iterator[FpSubspace]:
             yield FpSubspace(rows, m, p)
 
 
+def _is_prime(n: int) -> bool:
+    if n < 2:
+        return False
+    f = 2
+    while f * f <= n:
+        if n % f == 0:
+            return False
+        f += 1
+    return True
+
+
 def gl_order(d: int, p: int) -> int:
     order = 1
     for i in range(d):
@@ -238,6 +249,8 @@ def gl_order(d: int, p: int) -> int:
 
 def gl_enumerate(d: int, p: int) -> list:
     """All invertible d x d matrices over F_p, built row by row."""
+    if d < 1 or not _is_prime(p):
+        raise ValueError(f"GL({d},{p}) needs d >= 1 and a prime p")
     order = gl_order(d, p)
     if order > GL_GUARD:
         raise ValueError(f"|GL({d},{p})| = {order} exceeds guard {GL_GUARD}")

@@ -13,22 +13,16 @@ from typing import Dict, Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .fplin import _index_weights, is_invertible, mat_inverse, matrix_index_perm, state_table
+from .fplin import _index_weights, _is_prime, is_invertible, mat_inverse, matrix_index_perm, state_table
 
 STATE_GUARD = 10**6
 STEP_GUARD = 10**5
 MERSENNE_T = (2, 3, 5, 7, 13, 17, 19)
 
 
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    f = 2
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 1
-    return True
+def _check_steps(n: int):
+    if not 0 <= n <= STEP_GUARD:
+        raise ValueError(f"step count {n} is outside 0..{STEP_GUARD}")
 
 
 @dataclass(frozen=True)
@@ -77,8 +71,7 @@ def evolve_steps(spec: WalkSpec, n: int) -> Iterator[np.ndarray]:
     of the two neighbours, taken in place by slices with wrap-around, is scaled
     by q / 2d and added to (1 - q) times the permuted P_k.
     """
-    if n > STEP_GUARD:
-        raise ValueError("step count exceeds guard")
+    _check_steps(n)
     p, d, q = spec.p, spec.d, spec.q_weight
     perm_ainv = matrix_index_perm(mat_inverse(spec.a_matrix, p), p, d)
     dist = point_mass(spec)
@@ -115,8 +108,7 @@ def step_transform(spec: WalkSpec) -> np.ndarray:
 
 def fourier_steps(spec: WalkSpec, n: int) -> Iterator[np.ndarray]:
     """Yields the transform of P_k for k = 0..n via the twisted product form; it is real."""
-    if n > STEP_GUARD:
-        raise ValueError("step count exceeds guard")
+    _check_steps(n)
     at = tuple(zip(*spec.a_matrix))  # transpose
     perm_at = matrix_index_perm(at, spec.p, spec.d)
     cur = step_transform(spec)
@@ -167,6 +159,7 @@ def d_n_series(p: int, b: int, q_weight: float, n: int) -> Iterator[float]:
     """D_0, ..., D_n for the scalar chain with multiplier b: the sum over nonzero
     frequencies y of the squared k-step product, each product advanced by one
     factor per step."""
+    _check_steps(n)
     if b % p == 0:
         raise ValueError("b must be a unit mod p")
     factor = [(1.0 - q_weight + q_weight * math.cos(2 * math.pi * c / p)) ** 2 for c in range(p)]
@@ -263,8 +256,6 @@ def meanlem_stats(t: int, d: int, r: int) -> MeanStats:
     and runs n = r t steps.
     """
     p = _check_mersenne(t)
-    if p**d > STATE_GUARD:
-        raise ValueError("state space exceeds guard")
     n = r * t
     pis = [pi_gamma(t, d, j)[0] for j in range(t)]
     gammas = [pi_gamma(t, d, j)[1] for j in range(t)]
@@ -358,6 +349,7 @@ def monte_carlo(spec: WalkSpec, n: int, trials: int, seed: int) -> np.ndarray:
     Philox is counter-based, so a fixed seed reproduces the exact output
     regardless of platform or how the work might be split.
     """
+    _check_steps(n)
     if trials < 1:
         raise ValueError("trials must be positive")
     rng = np.random.Generator(np.random.Philox(seed))

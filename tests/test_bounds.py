@@ -8,6 +8,7 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from pgrouplab import bounds as bd
+from pgrouplab import cli
 from pgrouplab import groups as gr
 from pgrouplab.freelie import dn_dim
 from pgrouplab.qcombin import d_series, gauss_binom
@@ -206,10 +207,10 @@ def test_dn_upper():
         bd.dn_upper(4, 3)
 
 
-def test_limit1_grid_rows_sorted_and_flagged():
-    rows = bd.limit1_grid([3, 2], [6], [3, 4])
-    assert [(r.p, r.n) for r in rows] == [(2, 3), (2, 4), (3, 3), (3, 4)]
-    assert all(r.holds for r in rows)
+def test_limit1_rows_sorted_by_p_d_n(capsys):
+    assert cli.main(["bounds", "--kind", "limit1", "--p", "3,2", "--d", "6", "--n", "4,3"]) == 0
+    rows = [line.split(",") for line in capsys.readouterr().out.splitlines()]
+    assert [tuple(int(x) for x in r[:3]) for r in rows] == [(2, 6, 3), (2, 6, 4), (3, 6, 3), (3, 6, 4)]
 
 
 def test_fnormal_single_active_term():

@@ -117,10 +117,40 @@ def test_orbits_natural_module(capsys):
 
 def test_orbits_unsafe_limits_keep_the_gl_guard(capsys):
     # every GL(d,p) above the guard has a permutation table above PERM_GUARD, so
-    # --unsafe-limits does not widen it: GL(3,5) is refused before enumeration
+    # orbits takes no --unsafe-limits: GL(3,5) is refused before enumeration
     code, out = run(["orbits", "--d", "3", "--p", "5", "--unsafe-limits"], capsys)
     assert code == 2
+    assert json.loads(out) == {"failures": ["unrecognized arguments: --unsafe-limits"]}
+    code, out = run(["orbits", "--d", "3", "--p", "5"], capsys)
+    assert code == 2
     assert json.loads(out) == {"failures": ["|GL(3,5)| = 1488000 exceeds guard 1000000"]}
+
+
+def test_unsafe_limits_only_on_the_commands_that_read_it():
+    commands = next(a for a in cli.build_parser()._actions if a.dest == "command").choices
+    options = {name: {s for a in sub._actions for s in a.option_strings if s not in ("-h", "--help")}
+               for name, sub in commands.items()}
+    assert {name for name, opts in options.items() if "--unsafe-limits" in opts} == {"census", "walk"}
+    assert sum(len(opts) for opts in options.values()) == 40
+
+
+def test_orbits_prints_the_wedge_note_to_stderr(capsys):
+    assert cli.main(["orbits", "--d", "2", "--p", "2", "--module", "wedge"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == "note: split-model (non-split extension not constructed)\n"
+    assert len(captured.out.splitlines()) == 1 and captured.out.startswith("orbits=")
+
+
+def test_manifest_records_the_guards_in_force(tmp_path):
+    cat = tmp_path / "mine.cat"
+    write_catalog(str(cat), [("C8", cyclic(8), 2)])
+    census = ["census", "--p", "2", "--k", "3", "--catalog", str(cat)]
+    walk = ["walk", "--p", "3", "--d", "1", "--a", "2", "--n", "2"]
+    out_path = tmp_path / "out.csv"
+    for argv, guard, default in ((census, "group_order", 256), (walk, "walk_states", 10**6)):
+        for flag, want in (([], default), (["--unsafe-limits"], 10**12)):
+            assert cli.main(argv + flag + ["--out", str(out_path)]) == 0
+            assert json.loads((tmp_path / "out.csv.manifest.json").read_text())["guards"][guard] == want
 
 
 def test_orbits_gl32_wedge(tmp_path, capsys):
@@ -221,6 +251,15 @@ def _truncated_catalog(tmp_path):
     ["bounds", "--kind", "nope"],
     ["orbits", "--d", "2", "--p", "3", "--module", "nope"],
     ["walk", "--p", "5", "--d", "2", "--a", "2", "--n", "3", "--mode", "nope"],
+    ["walk", "--p", "5", "--d", "2", "--a", "2", "--n", "3", "--exact", "--mc"],
+    ["walk", "--p", "5", "--d", "2", "--a", "2"],
+    ["walk", "--p", "5", "--d", "2", "--a", "2", "--n", "-1", "--exact"],
+    ["walk", "--p", "5", "--d", "2", "--a", "2", "--n", "-1", "--mc"],
+    ["walk", "--p", "5", "--d", "2", "--a", "2", "--n", "100001", "--mc", "--trials", "1"],
+    ["orbits", "--d", "0", "--p", "2"],
+    ["orbits", "--d", "2", "--p", "4"],
+    ["census", "--p", "abc", "--k", "3"],
+    ["nosuch"],
     ["census", "--p", "2", "--k", "3", "--catalog", "MISSING/x.cat"],
     ["census", "--p", "2", "--k", "3", "--out", "MISSING/x.csv"],
 ])

@@ -119,6 +119,12 @@ def test_gl_enumerate_guard():
         fp.gl_enumerate(3, 5)
 
 
+@pytest.mark.parametrize("d,p", [(0, 2), (-1, 3), (2, 4), (2, 1)])
+def test_gl_enumerate_rejects_bad_dimension_or_modulus(d, p):
+    with pytest.raises(ValueError, match="needs d >= 1 and a prime p"):
+        fp.gl_enumerate(d, p)
+
+
 def test_invariant_subspace_count_examples():
     assert fp.invariant_subspace_count(fp.mat_identity(2), 2) == 5
     assert fp.invariant_subspace_count(((1, 1), (0, 1)), 2) == 3

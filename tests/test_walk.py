@@ -1,5 +1,8 @@
 import itertools
 import math
+import pathlib
+import runpy
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -324,3 +327,21 @@ def test_factored_transform_on_large_state_space():
     dots = states @ states[g_index] % p
     expected = np.exp(2j * np.pi * dots / p)
     assert np.abs(f - expected).max() < 1e-9
+
+
+def test_walk_experiment_script_runs_with_its_defaults(monkeypatch, capsys):
+    script = pathlib.Path(__file__).resolve().parents[1] / "scripts" / "walk_experiment.py"
+    monkeypatch.setattr(sys, "argv", [str(script)])
+    runpy.run_path(str(script), run_name="__main__")  # a failure or a nonzero sys.exit raises here
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(":")[0] for line in lines] == [
+        "schedule c=1.0", "schedule c=2.0", "t=2", "t=3", "t=5", "t=7"]
+
+
+@pytest.mark.parametrize("n", [-1, wk.STEP_GUARD + 1])
+def test_step_count_is_checked_by_every_kernel(n):
+    spec = diag_spec(5, 2)
+    for run in (lambda: next(wk.evolve_steps(spec, n)), lambda: next(wk.fourier_steps(spec, n)),
+                lambda: next(wk.d_n_series(5, 2, 1.0, n)), lambda: wk.monte_carlo(spec, n, 1, 0)):
+        with pytest.raises(ValueError, match="step count"):
+            run()
