@@ -102,6 +102,12 @@ def cmd_census(args) -> List[str]:
 def cmd_bounds(args) -> List[str]:
     rows = []
     ps, ds, ns = _int_list(args.p), _int_list(args.d), _int_list(args.n)
+    if not (ps and ds and ns):
+        raise ValueError("--p, --d and --n each need at least one value")
+    if args.kind != "dn" and not all(map(qcombin._is_prime, ps)):
+        raise ValueError(f"--p must list primes, not {args.p}")
+    if min(ds) < 1:
+        raise ValueError(f"--d must be at least 1, not {min(ds)}")
     # the dn inequalities do not depend on p: their rows carry p = 0
     for p, d, n in itertools.product([0] if args.kind == "dn" else sorted(ps), sorted(ds), sorted(ns)):
         if args.kind == "limit1":
@@ -129,6 +135,8 @@ def cmd_bounds(args) -> List[str]:
 
 
 def cmd_lie(args) -> List[str]:
+    if not qcombin._is_prime(args.p):
+        raise ValueError(f"--p must be a prime, not {args.p}")
     failures = []
     outputs = {}
     if args.witt:

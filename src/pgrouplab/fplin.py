@@ -16,7 +16,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .qcombin import galois_number
+from .qcombin import _is_prime, galois_number
 
 SUBSPACE_GUARD = 10**6
 GL_GUARD = 10**6  # fixed: every larger GL(d,p) has a permutation table above PERM_GUARD
@@ -227,17 +227,6 @@ def enumerate_subspaces(m: int, p: int) -> Iterator[FpSubspace]:
     for k in range(m + 1):
         for rows in enumerate_rref_rows(m, p, k):
             yield FpSubspace(rows, m, p)
-
-
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    f = 2
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 1
-    return True
 
 
 def gl_order(d: int, p: int) -> int:

@@ -11,7 +11,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .aut import aut_order, minimal_generating_tuple
-from .cayley import ORDER_GUARD, CayleyGroup, direct_product, is_p_power
+from .cayley import ORDER_GUARD, CayleyGroup, check_order, direct_product, is_p_power
 from .families import (
     abelian_of_type,
     c2sq_semidirect_c4,
@@ -161,6 +161,7 @@ def parse_catalog(path: str, guard: int = ORDER_GUARD) -> List[Tuple[str, Cayley
         if len(head) != 5 or len(lead) != 2 or (lead[0], head[1], head[3]) != ("group", "order", "prime"):
             raise ValueError(f"malformed catalog header: {lines[i]!r}")
         name, n, p = lead[1], int(head[2]), int(head[4])
+        check_order(n, guard)
         if i + 1 + n > len(lines):
             raise ValueError(f"catalog entry {name!r} promises {n} table rows, the file ends first")
         rows = [list(map(int, lines[i + 1 + r].split())) for r in range(n)]

@@ -16,10 +16,16 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..qcombin import Partition
+from ..qcombin import Partition, _is_prime
 
 ORDER_GUARD = 256
-SUBGROUP_ORDER_GUARD = 128
+SUBGROUP_ORDER_GUARD = 243  # C_3^5, the largest group the oracles enumerate
+
+
+def check_order(n: int, guard: int = ORDER_GUARD):
+    """Refuse a group of order n above the guard; constructors call it before building a table."""
+    if n > guard:
+        raise ValueError(f"group order {n} exceeds guard {guard}")
 
 
 class CayleyGroup:
@@ -35,8 +41,7 @@ class CayleyGroup:
         n = table.shape[0]
         if table.ndim != 2 or table.shape != (n, n):
             raise ValueError("table must be square")
-        if n > guard:
-            raise ValueError(f"group order {n} exceeds guard {guard}")
+        check_order(n, guard)
         self.table = table
         self.order = n
         self.name = name
@@ -174,13 +179,14 @@ class CayleyGroup:
         """Subgroup generated by gens, as a sorted index array."""
         return self._elements(self._span([int(x) for x in gens]))
 
-    def _subgroup_guard(self, guard: int):
-        if self.order > guard:
-            raise ValueError(f"group order {self.order} exceeds subgroup guard {guard}")
+    def all_subgroups(self) -> List[np.ndarray]:
+        """Every subgroup, by closing joins of cyclic subgroups.
 
-    def all_subgroups(self, guard: int = SUBGROUP_ORDER_GUARD) -> List[np.ndarray]:
-        """Every subgroup, by closing joins of cyclic subgroups."""
-        self._subgroup_guard(guard)
+        When a join J = <M, x> has prime index over M, M is maximal in J, so
+        <M, y> = J for every y in J outside M: those y are not tried from M.
+        """
+        if self.order > SUBGROUP_ORDER_GUARD:
+            raise ValueError(f"group order {self.order} exceeds subgroup guard {SUBGROUP_ORDER_GUARD}")
         cyclic: Dict[int, int] = {}  # mask of <x> -> its first generator x
         for x in range(self.order):
             cyclic.setdefault(self._span([x]), x)
@@ -188,11 +194,14 @@ class CayleyGroup:
         queue = list(found.items())
         while queue:
             mask, gens = queue.pop()
+            covered, size = mask, mask.bit_count()
             for x in cyclic.values():
-                if mask >> x & 1:
+                if covered >> x & 1:
                     continue
                 join = gens + [x]
                 jmask = self._span(join)
+                if _is_prime(jmask.bit_count() // size):
+                    covered |= jmask
                 if jmask not in found:
                     found[jmask] = join
                     queue.append((jmask, join))
@@ -208,11 +217,10 @@ class CayleyGroup:
         ]
         return bool(mask[conj].all())
 
-    def normal_subgroups(self, guard: int = SUBGROUP_ORDER_GUARD) -> List[np.ndarray]:
+    def normal_subgroups(self) -> List[np.ndarray]:
         """Every normal subgroup, as read-only arrays enumerated once per group."""
-        self._subgroup_guard(guard)
         if self._normals is None:
-            self._normals = [s for s in self.all_subgroups(guard=self.order) if self.is_normal(s)]
+            self._normals = [s for s in self.all_subgroups() if self.is_normal(s)]
             for s in self._normals:
                 s.flags.writeable = False
         return list(self._normals)
@@ -319,14 +327,13 @@ def abelian_type_of_orders(orders: np.ndarray, p: int) -> Tuple[int, ...]:
 # derived constructions
 
 
-def direct_product(
-    a: CayleyGroup, b: CayleyGroup, name: Optional[str] = None, guard: int = ORDER_GUARD
-) -> CayleyGroup:
+def direct_product(a: CayleyGroup, b: CayleyGroup, name: Optional[str] = None) -> CayleyGroup:
     na, nb = a.order, b.order
+    check_order(na * nb)
     table = (a.table[:, None, :, None] * nb + b.table[None, :, None, :]).reshape(
         na * nb, na * nb
     )
-    return CayleyGroup(table, name=name or f"{a.name}x{b.name}", guard=guard)
+    return CayleyGroup(table, name=name or f"{a.name}x{b.name}")
 
 
 def quotient_group(g: CayleyGroup, normal, name: Optional[str] = None):

@@ -57,6 +57,8 @@ class BoundReal:
 
     def powi(self, k: int) -> "BoundReal":
         """Integer power, k >= 0."""
+        if k < 0:
+            raise ValueError(f"powi needs an exponent k >= 0, not {k}")
         out = BoundReal(1.0, 0.0)
         for _ in range(k):
             out = out * self
@@ -168,6 +170,10 @@ class Partition:
 
 # ---------------------------------------------------------------------------
 # exact counts
+
+
+def _is_prime(n: int) -> bool:
+    return n >= 2 and all(n % f for f in range(2, math.isqrt(n) + 1))
 
 
 def gauss_binom(n: int, k: int, q: int) -> int:

@@ -30,7 +30,6 @@ from .qcombin import BoundReal, Partition, c_series, d_series, galois_number, ga
 from .groups.cayley import abelian_type_of_orders
 from .groups.families import abelian_of_type
 
-ORACLE_ORDER_GUARD = 4096
 DECOMPOSE_DIM_GUARD = 8
 
 
@@ -85,13 +84,10 @@ def abelian_subgroup_type_census(p: int, lam) -> Dict[Tuple[int, ...], int]:
     key = (p, lam.parts)
     if key in _census_cache:
         return _census_cache[key]
-    order = p**lam.size
-    if order > ORACLE_ORDER_GUARD:
-        raise ValueError(f"group order {order} exceeds oracle guard {ORACLE_ORDER_GUARD}")
-    g = abelian_of_type(p, lam.parts, guard=ORACLE_ORDER_GUARD)
+    g = abelian_of_type(p, lam.parts)
     orders = g.element_orders()
     census: Dict[Tuple[int, ...], int] = {}
-    for sub in g.all_subgroups(guard=order):
+    for sub in g.all_subgroups():
         t = abelian_type_of_orders(orders[sub], p)
         census[t] = census.get(t, 0) + 1
     _census_cache[key] = census

@@ -13,7 +13,8 @@ from typing import Dict, Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .fplin import _index_weights, _is_prime, is_invertible, mat_inverse, matrix_index_perm, state_table
+from .fplin import _index_weights, is_invertible, mat_inverse, matrix_index_perm, state_table
+from .qcombin import _is_prime
 
 STATE_GUARD = 10**6
 STEP_GUARD = 10**5
@@ -257,8 +258,7 @@ def meanlem_stats(t: int, d: int, r: int) -> MeanStats:
     """
     p = _check_mersenne(t)
     n = r * t
-    pis = [pi_gamma(t, d, j)[0] for j in range(t)]
-    gammas = [pi_gamma(t, d, j)[1] for j in range(t)]
+    pis, gammas = zip(*(pi_gamma(t, d, j) for j in range(t)))
     closed = {
         "E_U(f)": 0.0,
         "E_U(ff*)": float(d * t),
@@ -314,12 +314,7 @@ def cosine_product_checks(t: int, d: int) -> CosineProductReport:
     parameters; this returns what actually holds rather than asserting.
     """
     _check_mersenne(t)
-    pis = []
-    gammas = []
-    for j in range(t):
-        a, b = pi_gamma(t, d, j)
-        pis.append(a)
-        gammas.append(b)
+    pis, gammas = zip(*(pi_gamma(t, d, j) for j in range(t)))
     p1 = abs(pis[1])
     lo, hi = math.exp(-3 * math.pi**2), math.exp(-(math.pi**2) / 4)
     two_sided = lo <= p1**d <= hi
@@ -332,7 +327,7 @@ def cosine_product_checks(t: int, d: int) -> CosineProductReport:
     js = tuple(j for j in range(1, t) if t ** (1 / 3) <= j <= t / 2)
     ratio_min = min((abs(pis[j]) / p1**2 for j in js), default=None)
     return CosineProductReport(
-        t=t, d=d, pi=tuple(pis), gamma=tuple(gammas),
+        t=t, d=d, pi=pis, gamma=gammas,
         two_sided_ok=two_sided, pi_dominance_ok=pi_dom,
         gamma_dominance_ok=gamma_dom, gamma_weight_zero=(d == 1),
         symmetry_dev=sym, ratio_js=js, ratio_min=ratio_min,

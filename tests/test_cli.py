@@ -1,12 +1,14 @@
 import csv
 import json
 import os
+import pathlib
+import shlex
 
 import pytest
 
 from pgrouplab import bounds, cli
 from pgrouplab.groups import cyclic, dihedral
-from pgrouplab.groups.catalog import write_catalog
+from pgrouplab.groups.catalog import catalog, write_catalog
 from pgrouplab.qcombin import galois_number
 
 import exactoracle
@@ -262,6 +264,14 @@ def _truncated_catalog(tmp_path):
     ["nosuch"],
     ["census", "--p", "2", "--k", "3", "--catalog", "MISSING/x.cat"],
     ["census", "--p", "2", "--k", "3", "--out", "MISSING/x.csv"],
+    ["bounds", "--kind", "limit1", "--p", "4", "--d", "6", "--n", "3"],
+    ["bounds", "--kind", "limit2", "--p", "2,6", "--d", "6", "--n", "3"],
+    ["bounds", "--kind", "limit1", "--p", "2", "--d", "6", "--n", "1"],
+    ["bounds", "--kind", "dn", "--d", "0", "--n", "3"],
+    ["bounds", "--kind", "dn", "--d", "5", "--n", ""],
+    ["lie", "--d", "2", "--n", "3", "--p", "4", "--triangularity"],
+    ["lie", "--d", "2", "--n", "3", "--p", "1", "--triangularity"],
+    ["lie", "--d", "3", "--n", "2", "--p", "6", "--expansion"],
 ])
 def test_malformed_input_exits_2_with_failure_list(tmp_path, capsys, args):
     args = [_truncated_catalog(tmp_path) if a == "TRUNCATED" else a for a in args]
@@ -282,3 +292,18 @@ def test_walk_mc_warns_on_stderr_when_trials_are_fewer_than_states(tmp_path, cap
     assert cli.main(args + ["--trials", "121", "--out", str(tmp_path / "enough.csv")]) == 0
     enough = capsys.readouterr()
     assert enough.err == "" and enough.out.startswith("TV ")
+
+
+def test_readme_command_line_examples_run(tmp_path, monkeypatch, capsys):
+    readme = pathlib.Path(__file__).resolve().parent.parent / "README.md"
+    block = readme.read_text().split("## Command line", 1)[1].split("```")[1]
+    lines = [ln for ln in block.splitlines() if ln.startswith("pgrouplab ")]
+    assert lines
+    monkeypatch.chdir(tmp_path)
+    write_catalog("my.cat", [(name, g, 2) for name, g in catalog(2, 3)])
+    for line in lines:
+        command, _, expected = line.partition("# -> ")
+        code, out = run(shlex.split(command, comments=True)[1:], capsys)
+        assert code == 0, line
+        if expected:
+            assert out.splitlines()[-1] == expected.strip(), line

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ import hypothesis.strategies as st
 from pgrouplab import groups as gr
 from pgrouplab.groups.aut import _chain_order, _Search
 from pgrouplab.groups.catalog import catalog, census, fingerprint, parse_catalog, write_catalog
-from pgrouplab.qcombin import gauss_binom
+from pgrouplab.qcombin import galois_number, gauss_binom
 
 from autcount import count_automorphisms
 
@@ -43,6 +44,25 @@ def test_rejects_bad_tables():
 def test_order_guard():
     with pytest.raises(ValueError):
         gr.cyclic(300)
+
+
+@pytest.mark.parametrize("build, args", [
+    (gr.cyclic, lambda: (3000,)),
+    (gr.dihedral, lambda: (2000,)),
+    (gr.direct_product, lambda: (gr.cyclic(50), gr.cyclic(50))),
+    (gr.ut_group, lambda: (5, 2)),
+    (gr.wreath_cp_cp, lambda: (5,)),
+], ids=["cyclic(3000)", "dihedral(2000)", "C50xC50", "UT(5,2)", "C5wrC5"])
+def test_order_guard_refuses_before_building_a_table(build, args):
+    args = args()  # the factors of a product are built before the trace starts
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="exceeds guard 256"):
+            build(*args)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_associativity_checked_exhaustively_above_order_300():
@@ -231,6 +251,46 @@ def test_quaternion_subgroup_count(order):
     assert len(gr.quaternion(order).all_subgroups()) == len(_divisors(2 * n)) + sum(_divisors(n))
 
 
+def _permutation_group(n, even_only):
+    # S_n, or A_n, with element i the i-th permutation in lexicographic order
+    perms = [s for s in itertools.permutations(range(n))
+             if not even_only or sum(a > b for a, b in itertools.combinations(s, 2)) % 2 == 0]
+    index = {s: i for i, s in enumerate(perms)}
+    return gr.CayleyGroup([[index[tuple(a[x] for x in b)] for b in perms] for a in perms])
+
+
+@pytest.mark.parametrize("n, even_only, count", [(4, True, 10), (4, False, 30), (5, True, 59), (5, False, 156)],
+                         ids=["A4", "S4", "A5", "S5"])
+def test_subgroup_counts_of_alternating_and_symmetric_groups(n, even_only, count):
+    # A_5 is perfect and S_5 is not solvable; the prime-index skip is exact in these too
+    assert len(_permutation_group(n, even_only).all_subgroups()) == count
+
+
+@pytest.mark.parametrize("p, k, count", [(2, 5, 374), (2, 6, 2825), (3, 4, 212), (3, 5, 2664), (5, 3, 64)])
+def test_elementary_abelian_subgroup_counts_are_galois_numbers(p, k, count):
+    assert galois_number(k, p) == count
+    assert len(gr.abelian_of_type(p, (1,) * k).all_subgroups()) == count
+
+
+def test_prime_index_skip_bounds_the_joins_on_c3_5(monkeypatch):
+    joins = []
+    span = gr.CayleyGroup._span
+
+    def counted(self, gens, base=None):
+        if len(gens) > 1:  # the cyclic subgroups are spanned from one generator each
+            joins.append(gens)
+        return span(self, gens, base)
+
+    monkeypatch.setattr(gr.CayleyGroup, "_span", counted)
+    assert len(gr.abelian_of_type(3, (1,) * 5).all_subgroups()) == 2664
+    assert 0 < len(joins) <= 30_000
+
+
+def test_subgroup_guard_243():
+    with pytest.raises(ValueError, match="subgroup guard 243"):
+        gr.abelian_of_type(2, (1,) * 8).all_subgroups()
+
+
 def _relabel(g, perm):
     inv = np.argsort(perm)
     return gr.CayleyGroup(perm[g.table[inv][:, inv]], name=g.name)
@@ -286,7 +346,7 @@ def test_normal_profile_counts():
 
 def test_normal_profile_count_keeps_the_subgroup_guard():
     c256 = gr.cyclic(256)
-    with pytest.raises(ValueError, match="subgroup guard 128"):
+    with pytest.raises(ValueError, match="subgroup guard 243"):
         c256.normal_profile_count(2, [1] * 8)
 
 
@@ -326,7 +386,7 @@ def test_normal_subgroups_enumerated_once_per_group(monkeypatch):
     normals.clear()
     assert len(g.normal_subgroups()) == total
     with pytest.raises(ValueError, match="subgroup guard"):
-        g.normal_subgroups(guard=8)
+        gr.abelian_of_type(2, (1,) * 8).normal_subgroups()
 
 
 # ---------------------------------------------------------------------------
@@ -499,6 +559,15 @@ def test_bundled_catalog_file_roundtrip(tmp_path, p, k):
         assert q == p
         assert np.array_equal(h.table, g.table)
         assert h.generators == list(g.generators or gr.minimal_generating_tuple(g, p))
+
+
+def test_parse_catalog_checks_the_order_guard_before_the_rows(tmp_path):
+    path = tmp_path / "big.cat"
+    path.write_text("group big order 100000 prime 2\n")
+    with pytest.raises(ValueError, match="exceeds guard 256"):
+        parse_catalog(str(path))
+    with pytest.raises(ValueError, match="promises 100000 table rows"):
+        parse_catalog(str(path), guard=10**6)
 
 
 def test_parse_catalog_checks_generators(tmp_path):

@@ -82,6 +82,12 @@ def test_oracle_guard():
         sm.abelian_subgroup_type_census(2, (13,))
 
 
+def test_oracle_census_keeps_the_subgroup_guard():
+    # C_2^8 passes the order guard (256); listing its 417,199 subgroups is refused
+    with pytest.raises(ValueError, match="subgroup guard 243"):
+        sm.abelian_subgroup_type_census(2, (1,) * 8)
+
+
 # ---------------------------------------------------------------------------
 # decomposition
 
