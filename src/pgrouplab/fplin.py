@@ -42,7 +42,16 @@ def mat_vec(a: tuple, v: tuple, p: int) -> tuple:
 
 
 def state_table(p: int, d: int) -> np.ndarray:
-    return np.array(list(itertools.product(range(p), repeat=d)), dtype=np.int64)
+    """Row i is the state with big-endian index i, in the order of `itertools.product`.
+
+    The shape is (p**d, d), so d = 0 gives one empty row.  The table is C-contiguous:
+    numpy adds a contiguous row of 8 or more entries pairwise but a strided one left
+    to right, so row sums over a transposed table would round differently.
+    """
+    table = np.empty((p,) * d + (d,), dtype=np.int64)
+    for axis in range(d):
+        table[..., axis] = np.arange(p).reshape((p,) + (1,) * (d - 1 - axis))
+    return table.reshape(p**d, d)
 
 
 def _index_weights(p: int, d: int) -> np.ndarray:

@@ -68,28 +68,32 @@ def point_mass(spec: WalkSpec) -> np.ndarray:
 def evolve_steps(spec: WalkSpec, n: int) -> Iterator[np.ndarray]:
     """Yields P_0, P_1, ..., P_n by exact convolution; each P_k is a new array.
 
-    Per step, P_k is permuted by A^-1 into a buffer; then for every axis the sum
-    of the two neighbours, taken in place by slices with wrap-around, is scaled
-    by q / 2d and added to (1 - q) times the permuted P_k.
+    Per step, P_k is permuted by A^-1 into a buffer.  For each axis, with stride
+    st = p^(d-1-axis) in the flat index, one contiguous add x[i - st] + x[i + st]
+    fills every row but the first st and the last st; it is the neighbour sum
+    wherever the axis coordinate is 1..p-2.  Two wrap-around adds then overwrite
+    the rows with coordinate 0 and p-1, each with the same two operands as the
+    true neighbour sum.  The sum is scaled by q / 2d and added to (1 - q) times
+    the permuted P_k.
     """
     _check_steps(n)
     p, d, q = spec.p, spec.d, spec.q_weight
     perm_ainv = matrix_index_perm(mat_inverse(spec.a_matrix, p), p, d)
     dist = point_mass(spec)
     yield dist
-    shape = (p,) * d
     twisted = np.empty(spec.n_states)
-    nbrs = np.empty(shape)
+    nbrs = np.empty(spec.n_states)
     for _ in range(n):
         np.take(dist, perm_ainv, out=twisted, mode="clip")  # a permutation: clip never acts
         out = (1.0 - q) * twisted
         for axis in range(d):
-            r, s = np.moveaxis(twisted.reshape(shape), axis, 0), np.moveaxis(nbrs, axis, 0)
-            np.add(r[:-2], r[2:], out=s[1:-1])  # x[i - 1] + x[i + 1], p >= 3
-            np.add(r[-1:], r[1:2], out=s[:1])
-            np.add(r[-2:-1], r[:1], out=s[-1:])
+            st = p ** (d - 1 - axis)
+            np.add(twisted[:-2 * st], twisted[2 * st:], out=nbrs[st:-st])  # p >= 3
+            r, s = twisted.reshape(-1, p, st), nbrs.reshape(-1, p, st)
+            np.add(r[:, -1], r[:, 1], out=s[:, 0])
+            np.add(r[:, -2], r[:, 0], out=s[:, -1])
             nbrs *= q / (2 * d)
-            out += nbrs.reshape(-1)
+            out += nbrs
         dist = out
         yield dist
 
@@ -102,8 +106,8 @@ def evolve_exact(spec: WalkSpec, n: int) -> np.ndarray:
 
 def step_transform(spec: WalkSpec) -> np.ndarray:
     """Fourier transform of the one-step distribution, real-valued."""
-    states = state_table(spec.p, spec.d)
-    cosines = np.cos(2 * np.pi * states / spec.p).sum(axis=1)
+    cos_table = np.cos(2 * np.pi * np.arange(spec.p) / spec.p)  # one cosine per residue
+    cosines = cos_table[state_table(spec.p, spec.d)].sum(axis=1)
     return 1.0 - spec.q_weight + (spec.q_weight / spec.d) * cosines
 
 
@@ -112,12 +116,13 @@ def fourier_steps(spec: WalkSpec, n: int) -> Iterator[np.ndarray]:
     _check_steps(n)
     at = tuple(zip(*spec.a_matrix))  # transpose
     perm_at = matrix_index_perm(at, spec.p, spec.d)
-    cur = step_transform(spec)
+    cur, nxt = step_transform(spec), np.empty(spec.n_states)
     f = np.ones(spec.n_states)
     yield f
     for _ in range(n):
         f = f * cur  # a new array each step, so a yielded one is never overwritten
-        cur = cur[perm_at]
+        np.take(cur, perm_at, out=nxt, mode="clip")  # a permutation: clip never acts
+        cur, nxt = nxt, cur
         yield f
 
 
@@ -138,13 +143,15 @@ def direct_transform(dist: np.ndarray, p: int, d: int) -> np.ndarray:
 
 
 def tv_distance(dist: np.ndarray) -> float:
-    """Total variation distance to the uniform distribution."""
-    return 0.5 * float(np.abs(dist - 1.0 / dist.size).sum())
+    """Total variation distance of a real distribution to the uniform one."""
+    dev = dist - 1.0 / dist.size
+    return 0.5 * float(np.abs(dev, out=dev).sum())
 
 
 def chi2_rhs(fourier: np.ndarray) -> float:
     """Sum of |transform|^2 over nontrivial characters (the chi-square bound)."""
-    return float((np.abs(fourier[1:]) ** 2).sum())
+    mod = np.abs(fourier[1:])
+    return float(np.square(mod, out=mod).sum())
 
 
 def dist_diagnostics(dist: np.ndarray) -> Tuple[float, float]:

@@ -7,12 +7,20 @@ instead of merged float64 exponent counts, and the walk is evolved in
 matrix-vector product written out here.  The diagonalizable-chain bound is
 recomputed from scratch for each step count, in the same float operations as
 the library's running products, so the two must agree exactly.
+
+The float walk references (`rolled_steps`, `product_form_steps`, `tv_distance`,
+`chi2_rhs`) do the floating-point operations of `walk` in the same order, but
+list the states with `itertools.product`, move mass forward by A instead of
+pulling it back by A^-1, take neighbours with `np.roll`, compute the cosine of
+every state directly and allocate fresh arrays: they must agree bit for bit.
 """
 import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional
+from typing import Dict, Iterator, List, Optional
+
+import numpy as np
 
 from pgrouplab.freelie import dn_dim
 
@@ -114,6 +122,55 @@ def evolve_exact_rational(spec, n: int) -> List[Fraction]:
                 out[index[tuple(z)]] += q / (2 * d) * mass
         dist = out
     return dist
+
+
+def _image_perm(a, p: int, d: int) -> np.ndarray:
+    """Index of A x for each state x, states listed big-endian."""
+    states = list(itertools.product(range(p), repeat=d))
+    index = {s: i for i, s in enumerate(states)}
+    return np.array([index[tuple(sum(row[j] * x[j] for j in range(d)) % p for row in a)]
+                     for x in states])
+
+
+def rolled_steps(spec, n: int) -> Iterator[np.ndarray]:
+    """P_0, ..., P_n: the mass at x moves to A x, then a stencil of `np.roll` copies."""
+    p, d, q = spec.p, spec.d, spec.q_weight
+    perm_a = _image_perm(spec.a_matrix, p, d)
+    dist = np.zeros(p**d)
+    dist[0] = 1.0
+    yield dist
+    for _ in range(n):
+        moved = np.empty(p**d)
+        moved[perm_a] = dist
+        r = moved.reshape((p,) * d)
+        out = (1.0 - q) * moved
+        for axis in range(d):
+            out = out + (q / (2 * d)) * (np.roll(r, 1, axis=axis) + np.roll(r, -1, axis=axis)).reshape(-1)
+        dist = out
+        yield dist
+
+
+def product_form_steps(spec, n: int) -> Iterator[np.ndarray]:
+    """The transform of P_0, ..., P_n: the one-step transform at each state's cosines,
+    composed with A^T (transposed) once more per step."""
+    p, d, q = spec.p, spec.d, spec.q_weight
+    states = np.array(list(itertools.product(range(p), repeat=d)), dtype=np.int64)
+    cur = 1.0 - q + (q / d) * np.cos(2 * np.pi * states / p).sum(axis=1)
+    perm_at = _image_perm(tuple(zip(*spec.a_matrix)), p, d)
+    f = np.ones(p**d)
+    yield f
+    for _ in range(n):
+        f = f * cur
+        cur = cur[perm_at]
+        yield f
+
+
+def tv_distance(dist: np.ndarray) -> float:
+    return 0.5 * float(np.abs(dist - 1.0 / dist.size).sum())
+
+
+def chi2_rhs(fourier: np.ndarray) -> float:
+    return float((np.abs(fourier[1:]) ** 2).sum())
 
 
 def d_n_expression(p: int, b: int, q_weight: float, n: int) -> float:

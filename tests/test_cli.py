@@ -1,8 +1,10 @@
 import csv
+import io
 import json
 import os
 import pathlib
 import shlex
+import types
 
 import pytest
 
@@ -58,6 +60,22 @@ def test_outputs_are_byte_identical_across_runs(tmp_path, capsys):
     run(["walk", "--p", "3", "--d", "1", "--a", "2", "--q", "1", "--n", "5",
          "--exact", "--out", str(b)], capsys)
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_walk_exact_csv_equals_independent_oracle_rows(tmp_path, capsys):
+    out_csv = tmp_path / "walk.csv"
+    code, _ = run(["walk", "--p", "7", "--d", "3", "--a", "1,2,0;0,1,3;4,0,1", "--n", "20",
+                   "--exact", "--out", str(out_csv)], capsys)
+    assert code == 0
+    spec = types.SimpleNamespace(p=7, d=3, a_matrix=((1, 2, 0), (0, 1, 3), (4, 0, 1)), q_weight=1.0)
+    want = io.StringIO(newline="")
+    writer = csv.writer(want)
+    writer.writerow(["n", "tv", "chi2_rhs", "ubthm_bound"])
+    pairs = zip(exactoracle.rolled_steps(spec, 20), exactoracle.product_form_steps(spec, 20))
+    for k, (dist, f) in enumerate(pairs):  # A is not diagonal: no bound column
+        writer.writerow([k, f"{exactoracle.tv_distance(dist):.12g}",
+                         f"{exactoracle.chi2_rhs(f):.12g}", ""])
+    assert out_csv.read_bytes() == want.getvalue().encode()
 
 
 def test_walk_exact_output(capsys):

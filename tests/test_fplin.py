@@ -28,6 +28,16 @@ def test_rref_idempotent_and_canonical(p, rows):
     assert fp.rref(scaled + list(rows), p) == red
 
 
+@pytest.mark.parametrize("p,d", [(2, 0), (3, 0), (3, 1), (5, 3), (3, 4), (61, 3), (3, 8)])
+def test_state_table_lists_states_like_itertools_product(p, d):
+    # d = 0 is one empty row, shape (1, 0): a reshape(d, -1) loses it
+    want = np.array(list(itertools.product(range(p), repeat=d)), dtype=np.int64)
+    got = fp.state_table(p, d)
+    assert got.shape == want.shape == (p**d, d) and got.dtype == want.dtype
+    assert np.array_equal(got, want)
+    assert got.flags.c_contiguous  # as the list-built table: row sums add in the same order
+
+
 def test_mat_inverse_roundtrip():
     rng = random.Random(7)
     for p in (2, 3, 5):

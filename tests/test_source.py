@@ -21,7 +21,7 @@ def test_no_assert_statements_in_library():
 ORACLE_BANNED = {
     "autcount.py": ("pgrouplab.groups",),
     "charpolyoracle.py": ("pgrouplab",),
-    "exactoracle.py": ("pgrouplab.bounds", "pgrouplab.walk", "matrix_index_perm"),
+    "exactoracle.py": ("pgrouplab.bounds", "pgrouplab.walk", "matrix_index_perm", "state_table"),
     "familyoracle.py": ("pgrouplab.groups",),
 }
 

@@ -81,31 +81,33 @@ def test_rational_oracle_agreement():
         assert sum(exact) == Fraction(1)
 
 
-def _rolled_steps(spec, n):
-    """P_0, ..., P_n by a stencil of np.roll copies: the floating-point operations
-    of `evolve_steps`, in the same order."""
-    p, d, q = spec.p, spec.d, spec.q_weight
-    perm = wk.matrix_index_perm(wk.mat_inverse(spec.a_matrix, p), p, d)
-    dist = wk.point_mass(spec)
-    yield dist
-    for _ in range(n):
-        r = dist[perm].reshape((p,) * d)
-        out = (1.0 - q) * r.reshape(-1)
-        for axis in range(d):
-            out = out + (q / (2 * d)) * (np.roll(r, 1, axis=axis) + np.roll(r, -1, axis=axis)).reshape(-1)
-        dist = out
-        yield dist
+SHEAR3 = wk.WalkSpec(p=3, d=3, a_matrix=((1, 1, 0), (0, 1, 2), (0, 0, 1)), q_weight=0.5)
+SHEAR3X4 = wk.WalkSpec(p=3, d=4, a_matrix=((1, 1, 0, 0), (0, 1, 2, 0), (0, 0, 2, 1), (2, 0, 0, 1)),
+                       q_weight=0.8)
+UPPER11 = wk.WalkSpec(p=11, d=2, a_matrix=((2, 1), (0, 4)), q_weight=0.9)
 
 
 @pytest.mark.parametrize("spec", [
-    wk.scalar_spec(5, 2, 0.3), diag_spec(7, 2, q=0.7), diag_spec(3, 3),
-    wk.WalkSpec(p=3, d=3, a_matrix=((1, 1, 0), (0, 1, 2), (0, 0, 1)), q_weight=0.5),
-    wk.WalkSpec(p=11, d=2, a_matrix=((2, 1), (0, 4)), q_weight=0.9),
-], ids=["scalar5", "diag7", "diag3x3", "shear3x3", "upper11"])
+    wk.scalar_spec(5, 2, 0.3), diag_spec(7, 2, q=0.7), diag_spec(3, 3), SHEAR3,
+    UPPER11, wk.scalar_spec(3, 2, 0.6), SHEAR3X4,
+], ids=["scalar5", "diag7", "diag3x3", "shear3x3", "upper11", "scalar3", "shear3x4"])
 def test_evolve_steps_match_rolled_stencil_bit_for_bit(spec):
+    # at p = 3 a wrap-around add overwrites every row that the flat neighbour add writes
     steps = list(wk.evolve_steps(spec, 25))
-    assert [x.tobytes() for x in steps] == [y.tobytes() for y in _rolled_steps(spec, 25)]
+    assert [x.tobytes() for x in steps] == [y.tobytes() for y in exactoracle.rolled_steps(spec, 25)]
     assert len({id(x) for x in steps}) == len(steps)  # no yielded array is reused
+
+
+@pytest.mark.parametrize("spec", [
+    diag_spec(7, 2, q=0.7), diag_spec(5, 3), SHEAR3, SHEAR3X4, UPPER11,
+    wk.WalkSpec(p=3, d=8, a_matrix=tuple(tuple(2 * (j == i) + (j == i + 1) for j in range(8))
+                                         for i in range(8)), q_weight=0.9),
+], ids=["diag7", "diag5x3", "shear3x3", "shear3x4", "upper11", "upper3x8"])
+def test_fourier_steps_match_product_form_bit_for_bit(spec):
+    # d = 8: numpy adds a contiguous row of 8 cosines pairwise, a strided one left to right
+    steps = list(wk.fourier_steps(spec, 25))
+    assert [x.tobytes() for x in steps] == [y.tobytes() for y in exactoracle.product_form_steps(spec, 25)]
+    assert len({id(x) for x in steps}) == len(steps)
 
 
 def test_rational_oracle_guard():
@@ -141,7 +143,7 @@ def test_factored_transform_matches_naive():
     rng = np.random.default_rng(5)
     dist = rng.random(5**3)
     dist /= dist.sum()
-    states = wk.state_table(5, 3)
+    states = np.array(list(itertools.product(range(5), repeat=3)))
     dots = (states @ states.T) % 5
     naive = (np.exp(2j * np.pi / 5) ** dots) @ dist.astype(complex)
     assert np.abs(wk.direct_transform(dist, 5, 3) - naive).max() < 1e-9
@@ -169,6 +171,19 @@ def test_chi2_frozen_and_upper_bound_lemma():
         f = next(fou)
         tv = wk.tv_distance(dist)
         assert 4 * tv * tv <= wk.chi2_rhs(f) + 1e-12
+
+
+@pytest.mark.parametrize("spec", [diag_spec(7, 2, q=0.7), SHEAR3X4, wk.scalar_spec(5, 2, 0.3)],
+                         ids=["diag7", "shear3x4", "scalar5"])
+def test_tv_and_chi2_equal_the_plain_expressions_bit_for_bit(spec):
+    rng = np.random.default_rng(11)
+    dists = list(wk.evolve_steps(spec, 12)) + [rng.random(spec.n_states) for _ in range(3)]
+    for dist in dists:
+        assert wk.tv_distance(dist) == exactoracle.tv_distance(dist)
+    complex_transforms = [wk.direct_transform(x, spec.p, spec.d) for x in dists]
+    for f in list(wk.fourier_steps(spec, 12)) + complex_transforms:
+        assert wk.chi2_rhs(f) == exactoracle.chi2_rhs(f)
+    assert complex_transforms[-1].dtype.kind == "c"
 
 
 def test_tv_monotone_for_untwisted_chain():
@@ -323,7 +338,7 @@ def test_factored_transform_on_large_state_space():
     g_index = 5 * p + 7  # the state (0, 5, 7)
     dist[g_index] = 1.0
     f = wk.direct_transform(dist, p, d)
-    states = wk.state_table(p, d)
+    states = np.array(list(itertools.product(range(p), repeat=d)))
     dots = states @ states[g_index] % p
     expected = np.exp(2j * np.pi * dots / p)
     assert np.abs(f - expected).max() < 1e-9
