@@ -37,10 +37,6 @@ def mat_mul(a: tuple, b: tuple, p: int) -> tuple:
     return tuple(tuple(sum(map(operator.mul, ra, cb)) % p for cb in bt) for ra in a)
 
 
-def mat_vec(a: tuple, v: tuple, p: int) -> tuple:
-    return tuple(sum(row[j] * v[j] for j in range(len(v))) % p for row in a)
-
-
 def state_table(p: int, d: int) -> np.ndarray:
     """Row i is the state with big-endian index i, in the order of `itertools.product`.
 

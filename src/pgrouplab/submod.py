@@ -94,12 +94,6 @@ def abelian_subgroup_type_census(p: int, lam) -> Dict[Tuple[int, ...], int]:
     return census
 
 
-def abelian_subgroup_oracle(p: int, lam, mu) -> int:
-    """Brute-force count of subgroups of type mu in the abelian p-group of type lam."""
-    mu = mu if isinstance(mu, Partition) else Partition(mu)
-    return abelian_subgroup_type_census(p, lam).get(mu.parts, 0)
-
-
 # ---------------------------------------------------------------------------
 # module decomposition
 

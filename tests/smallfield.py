@@ -74,6 +74,11 @@ def _prime_power(q: int) -> tuple:
     raise ValueError("q must be a prime power with p <= 13")
 
 
+def mat_vec(a: Sequence[Sequence[int]], v: Sequence[int], p: int) -> tuple:
+    """The product a*v over F_p, written out entry by entry."""
+    return tuple(sum(x * y for x, y in zip(row, v)) % p for row in a)
+
+
 def rref_field(rows: Iterable[Sequence[int]], field: SmallField) -> tuple:
     """RREF over a SmallField; same canonical-form contract as rref()."""
     mat = [list(r) for r in rows]

@@ -29,6 +29,8 @@ from pgrouplab.groups import (
 )
 from pgrouplab.qcombin import Partition, check_qests, galois_number
 
+from smallfield import mat_vec
+
 
 _test_start = [0.0]
 
@@ -95,17 +97,27 @@ def _gl_elements(m, p):
     return fp.gl_enumerate(m, p)
 
 
+def _subspace_vectors(s, p):
+    """Every vector of the subspace s, as the set of all combinations of its basis rows."""
+    return {
+        tuple(sum(c * r[j] for c, r in zip(cs, s.rows)) % p for j in range(s.ambient_dim))
+        for cs in itertools.product(range(p), repeat=s.dim)
+    }
+
+
 def test_criterion_03_structural_count_equals_brute_force():
     mismatches = 0
     checked = 0
     for p in (2, 3):
         for m in (1, 2, 3):
-            subspaces = list(fp.enumerate_subspaces(m, p))
+            subspaces = [(s.rows, _subspace_vectors(s, p)) for s in fp.enumerate_subspaces(m, p)]
+            basis_rows = {v for rows, _ in subspaces for v in rows}
             for g in _gl_elements(m, p):
+                image = {v: mat_vec(g, v, p) for v in basis_rows}
                 brute = sum(
                     1
-                    for s in subspaces
-                    if all(s.contains(fp.mat_vec(g, v, p)) for v in s.rows)
+                    for rows, vectors in subspaces
+                    if all(image[v] in vectors for v in rows)
                 )
                 if brute != sm.structural_submodule_count(g, p):
                     mismatches += 1

@@ -9,7 +9,7 @@ import hypothesis.strategies as st
 from pgrouplab import fplin as fp
 from pgrouplab.qcombin import galois_number, gauss_binom
 from charpolyoracle import cayley_hamilton_holds, charpoly_leibniz
-from smallfield import SmallField, rref_field
+from smallfield import SmallField, mat_vec, rref_field
 
 
 def random_matrix(rng, m, p):
@@ -307,7 +307,7 @@ def test_action_permutation_guard():
 def _fixed_by_rref(g, subspaces, p):
     """Oracle: g-invariant subspaces through RREF membership, without masks."""
     return sum(
-        all(s.contains(fp.mat_vec(g, v, p)) for v in s.rows) for s in subspaces
+        all(s.contains(mat_vec(g, v, p)) for v in s.rows) for s in subspaces
     )
 
 

@@ -11,6 +11,7 @@ from pgrouplab.groups.aut import _chain_order, _Search
 from pgrouplab.groups.catalog import catalog, census, fingerprint, parse_catalog, write_catalog
 from pgrouplab.qcombin import galois_number, gauss_binom
 
+from assocoracle import is_associative
 from autcount import count_automorphisms
 
 
@@ -26,19 +27,21 @@ def small_catalog_groups(max_order=64):
 # construction and validation
 
 
+BAD_5X5 = [  # a Latin square that is not associative
+    [0, 1, 2, 3, 4],
+    [1, 0, 3, 4, 2],
+    [2, 4, 0, 1, 3],
+    [3, 2, 4, 0, 1],
+    [4, 3, 1, 2, 0],
+]
+
+
 def test_rejects_bad_tables():
     with pytest.raises(ValueError):
         gr.CayleyGroup([[0, 0], [1, 1]])  # not a Latin square
-    # a Latin square that is not associative
-    bad = [
-        [0, 1, 2, 3, 4],
-        [1, 0, 3, 4, 2],
-        [2, 4, 0, 1, 3],
-        [3, 2, 4, 0, 1],
-        [4, 3, 1, 2, 0],
-    ]
-    with pytest.raises(ValueError):
-        gr.CayleyGroup(bad)
+    assert not is_associative(BAD_5X5)
+    with pytest.raises(ValueError, match="not associative"):
+        gr.CayleyGroup(BAD_5X5)
 
 
 def test_order_guard():
@@ -75,6 +78,81 @@ def test_associativity_checked_exhaustively_above_order_300():
     t[a + 151, c], t[a + 151, c + 151] = t[a + 151, c + 151], t[a + 151, c]
     with pytest.raises(ValueError, match="not associative"):
         gr.CayleyGroup(t, guard=400)
+
+
+def _verdict(table):
+    try:
+        gr.CayleyGroup(table)
+    except ValueError as err:
+        if "not associative" in str(err):
+            return "not associative"
+        raise
+    return "accepted"
+
+
+def _intercalate_swap(t, rng):
+    """t with one intercalate swapped: entries t[a,c] = t[b,d] and t[a,d] = t[b,c] trade places."""
+    n = t.shape[0]
+    col = np.argsort(t, axis=1)  # col[b, v] is the d with t[b, d] = v
+    for a, c in zip(rng.permutation(n).tolist(), rng.permutation(n).tolist()):
+        d = col[np.arange(n), t[a, c]]
+        bs = np.flatnonzero((t[a, d] == t[:, c]) & (d != c))
+        if bs.size:
+            b = int(rng.choice(bs))
+            out = t.copy()
+            out[np.ix_([a, b], [c, d[b]])] = t[np.ix_([a, b], [d[b], c])]
+            return out
+    raise ValueError("the table has no intercalate")
+
+
+def _isotope(t, rng):
+    """x*y = alpha(x) beta(y), each of alpha and beta a random permutation or translation."""
+    n = t.shape[0]
+    alpha = rng.permutation(n) if rng.random() < 0.5 else t[rng.integers(n)]  # x -> g x
+    beta = rng.permutation(n) if rng.random() < 0.5 else t[:, rng.integers(n)]  # y -> y h
+    return t[np.ix_(alpha, beta)]
+
+
+_ASSOC_FAMILIES = {
+    "C6": lambda: gr.cyclic(6), "C32": lambda: gr.cyclic(32),
+    "C2^2": lambda: gr.abelian_of_type(2, (1,) * 2), "C2^6": lambda: gr.abelian_of_type(2, (1,) * 6),
+    "D12": lambda: gr.dihedral(12), "D32": lambda: gr.dihedral(32), "Q16": lambda: gr.quaternion(16),
+}
+_CATALOG_UP_TO_27 = {name: g for name, g, _ in small_catalog_groups(max_order=27)}
+
+
+@pytest.mark.parametrize("kind, name", [
+    *(("catalog", name) for name in _CATALOG_UP_TO_27), *(("family", name) for name in _ASSOC_FAMILIES),
+])
+def test_associativity_verdict_equals_triple_check(kind, name):
+    g = _CATALOG_UP_TO_27[name] if kind == "catalog" else _ASSOC_FAMILIES[name]()
+    rng = np.random.default_rng(sum(map(ord, name)))
+    tables = [g.table] + [_relabel(g, rng.permutation(g.order)).table for _ in range(8)]
+    if kind == "family":
+        tables += [_intercalate_swap(_relabel(g, rng.permutation(g.order)).table, rng) for _ in range(24)]
+        tables += [_isotope(g.table, rng) for _ in range(24)]
+    verdicts = [_verdict(t) for t in tables]
+    assert verdicts == ["accepted" if is_associative(t) else "not associative" for t in tables]
+    if kind == "family":  # both verdicts occur, so the comparison can tell them apart
+        assert {"accepted", "not associative"} <= set(verdicts)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: gr.abelian_of_type(2, (1,) * 8), lambda: gr.abelian_of_type(3, (1,) * 5),
+    lambda: gr.dihedral(128), lambda: gr.quaternion(128),
+], ids=["C2^8", "C3^5", "D128", "Q128"])
+def test_light_test_checks_at_most_log2_n_plus_one_elements(monkeypatch, build):
+    table = build().table
+    checked = []
+    associates = gr.cayley._associates
+
+    def counted(t, a):
+        checked.append(a)
+        return associates(t, a)
+
+    monkeypatch.setattr(gr.cayley, "_associates", counted)
+    gr.CayleyGroup(table)
+    assert 0 < len(checked) <= table.shape[0].bit_length()  # floor(log2 n) + 1
 
 
 def test_constructor_invariants():

@@ -19,6 +19,7 @@ def test_no_assert_statements_in_library():
 # Each oracle module under tests/ against the names it must not import: the
 # pgrouplab modules it checks and the fast-path helpers those modules use.
 ORACLE_BANNED = {
+    "assocoracle.py": ("pgrouplab",),
     "autcount.py": ("pgrouplab.groups",),
     "charpolyoracle.py": ("pgrouplab",),
     "exactoracle.py": ("pgrouplab.bounds", "pgrouplab.walk", "matrix_index_perm", "state_table"),
@@ -56,3 +57,29 @@ def test_oracle_import_check_can_fail():
     assert [n for n in names if _is_banned(n, ORACLE_BANNED["autcount.py"])] == ["pgrouplab.groups"]
     assert [n for n in names if _is_banned(n, ORACLE_BANNED["exactoracle.py"])] == [
         "pgrouplab.fplin.matrix_index_perm"]
+
+
+# The constructor certifies the group axioms, so its checks must not run code
+# that assumes them: subgroup closure presumes an identity and associativity.
+VALIDATE_BANNED = ("_span", "closure")
+
+
+def _names_read_in(source, func):
+    """Every attribute or bare name that the function `func` in source reads."""
+    tree = ast.parse(source)
+    body = next(node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef) and node.name == func)
+    for node in ast.walk(body):
+        if isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.Name):
+            yield node.id
+
+
+def test_validate_uses_no_closure_code():
+    source = (pathlib.Path(pgrouplab.__file__).parent / "groups" / "cayley.py").read_text()
+    assert [n for n in _names_read_in(source, "_validate") if n in VALIDATE_BANNED] == []
+
+
+def test_validate_check_can_fail():
+    source = "class G:\n    def _validate(self):\n        covered = self._members(self._span(s))\n"
+    assert [n for n in _names_read_in(source, "_validate") if n in VALIDATE_BANNED] == ["_span"]
