@@ -7,6 +7,7 @@ storage of the sums themselves.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -77,13 +78,29 @@ def fnormal_bound(p: int, d: int, n: int, u: Sequence[int], reading: str = "stan
 # the nested profile sums and their bound
 
 
+def _merge_terms(exps: "np.ndarray", counts: "np.ndarray") -> Tuple["np.ndarray", "np.ndarray"]:
+    """Sorted distinct exponents and their summed counts, by a float64 bincount.
+
+    The bincount is exact only below 2^53, so a merged count that reaches
+    2^53 raises ArithmeticError.
+    """
+    if exps.size == 0:
+        return exps.astype(np.int64), counts.astype(np.int64)
+    lo = int(exps.min())
+    merged = np.bincount(exps - lo, weights=counts.astype(np.float64))
+    # every partial sum of a bin is at most its total, so a total below
+    # 2^53 was summed exactly, and one at or above it shows as such
+    if merged.max() >= 2.0**53:
+        raise ArithmeticError("PowSum count reached 2^53, beyond exact float64 merging")
+    nz = np.flatnonzero(merged)
+    return (nz + lo).astype(np.int64), merged[nz].astype(np.int64)
+
+
 @dataclass(frozen=True)
 class PowSum:
     """Exact finite sum of c_k * p^(k/2), stored as parallel (k, c) arrays.
 
-    Coefficients are term-multiplicity counts.  `from_terms` merges them with
-    a float64 bincount, which is exact only below 2^53, so it raises
-    ArithmeticError for a merged count that reaches 2^53.
+    Coefficients are term-multiplicity counts, merged by `_merge_terms`.
     """
 
     p: int
@@ -93,14 +110,7 @@ class PowSum:
     @classmethod
     def from_terms(cls, p: int, exps: "np.ndarray", counts: "np.ndarray") -> "PowSum":
         """Merge terms c * p^(k/2) given in any order, with repeated exponents."""
-        lo = int(exps.min())
-        merged = np.bincount(exps - lo, weights=counts.astype(np.float64))
-        # every partial sum of a bin is at most its total, so a total below
-        # 2^53 was summed exactly, and one at or above it shows as such
-        if merged.max() >= 2.0**53:
-            raise ArithmeticError("PowSum count reached 2^53, beyond exact float64 merging")
-        nz = np.flatnonzero(merged)
-        return cls(p, (nz + lo).astype(np.int64), merged[nz].astype(np.int64))
+        return cls(p, *_merge_terms(exps, counts))
 
     def log_p(self) -> float:
         if self.exps.size == 0:
@@ -129,34 +139,48 @@ def _hypothesis_ok(d: int, n: int) -> bool:
     return (n >= 3 and d >= 6) or (n >= 10 and d >= 5)
 
 
+@functools.lru_cache(maxsize=None)
+def _gaussprods_levels(d: int, n: int) -> Dict[int, Tuple["np.ndarray", "np.ndarray", "np.ndarray"]]:
+    """The terms of every A_j(u_j), j = 1..n, as read-only (exps, counts, starts).
+
+    Exponents are in half-units of log_p and counts are term multiplicities,
+    so nothing here depends on p.  Level j lists the merged terms of A_j(0),
+    A_j(1), ... one after another: A_j(u_j) is exps[starts[u_j]:starts[u_j + 1]].
+    Since A_j(u_j) = sum_u p^((d_{j+1} - u)(2u - u_j)/2) A_{j+1}(u), the
+    exponents of A_j(u_j) are base - u_j * gap, where base and gap are computed
+    once per level from the terms of level j + 1 and their u.
+    """
+    dims = {j: dn_dim(d, j) for j in range(1, n + 1)}
+    exps = np.zeros(dims[n] + 1, dtype=np.int64)
+    counts = np.ones(dims[n] + 1, dtype=np.int64)
+    starts = np.arange(dims[n] + 2)
+    levels = {n: (exps, counts, starts)}
+    for j in range(n - 1, 0, -1):
+        first = starts[{n - 1: 2, n - 2: 1}.get(j, 0)]  # the sum over u starts there
+        u = np.repeat(np.arange(dims[j + 1] + 1), np.diff(starts))[first:]
+        gap = dims[j + 1] - u
+        base = exps[first:] + 2 * u * gap
+        merged = [_merge_terms(base - u_j * gap, counts[first:]) for u_j in range(dims[j] + 1)]
+        exps = np.concatenate([e for e, _ in merged])
+        counts = np.concatenate([c for _, c in merged])
+        starts = np.cumsum([0] + [e.size for e, _ in merged])
+        levels[j] = (exps, counts, starts)
+    for arrays in levels.values():
+        for a in arrays:
+            a.flags.writeable = False  # one set of arrays is shared by every caller
+    return levels
+
+
 def gaussprods_tables(p: int, d: int, n: int) -> Dict[int, List[PowSum]]:
     """Exact vectors A_j(u_j) for j = 1..n-1, u_j = 0..d_j, by backward recursion.
 
-    Term exponents are tracked in half-units of log_p; each A_j(u_j) is an
-    exact multiset of exponents merged with bincount.
+    Each A_j(u_j) is an exact multiset of exponents in half-units of log_p;
+    the arrays are built once per (d, n) and shared by every p.
     """
-    dims = {j: dn_dim(d, j) for j in range(1, n + 1)}
-    inner_lo = {j: 0 for j in range(2, n + 1)}
-    inner_lo[n - 1] = 1
-    inner_lo[n] = 2
-    one = PowSum(p, np.array([0], dtype=np.int64), np.array([1], dtype=np.int64))
-    tables: Dict[int, List[PowSum]] = {n: [one] * (dims[n] + 1)}
-    for j in range(n - 1, 0, -1):
-        nxt = tables[j + 1]
-        vec = []
-        for u_j in range(dims[j] + 1):
-            exp_chunks = []
-            cnt_chunks = []
-            for u in range(inner_lo[j + 1], dims[j + 1] + 1):
-                half = (dims[j + 1] - u) * (2 * u - u_j)
-                exp_chunks.append(nxt[u].exps + half)
-                cnt_chunks.append(nxt[u].counts)
-            if not exp_chunks:
-                vec.append(PowSum(p, np.array([], dtype=np.int64), np.array([], dtype=np.int64)))
-                continue
-            vec.append(PowSum.from_terms(p, np.concatenate(exp_chunks), np.concatenate(cnt_chunks)))
-        tables[j] = vec
-    return tables
+    return {
+        j: [PowSum(p, exps[a:b], counts[a:b]) for a, b in zip(starts[:-1].tolist(), starts[1:].tolist())]
+        for j, (exps, counts, starts) in _gaussprods_levels(d, n).items()
+    }
 
 
 def gaussprods_ai(

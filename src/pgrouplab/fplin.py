@@ -285,13 +285,6 @@ def fixed_subspace_count(perm: np.ndarray, masks: np.ndarray) -> int:
     return int((masks[:, perm] == masks).all(axis=1).sum())
 
 
-def invariant_subspace_count(g: tuple, p: int) -> int:
-    """Brute-force count of g-invariant subspaces of the natural module."""
-    if not is_invertible(g, p):
-        raise ValueError("matrix is singular")
-    return fixed_subspace_count(matrix_index_perm(g, p, len(g)), subspace_masks(len(g), p))
-
-
 # ---------------------------------------------------------------------------
 # group actions
 

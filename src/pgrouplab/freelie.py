@@ -6,6 +6,7 @@ Noncommutative polynomials are sparse coefficient tables keyed by words.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 from dataclasses import dataclass
@@ -180,11 +181,6 @@ def lie_bracket(f: NcPoly, g: NcPoly) -> NcPoly:
     return f * g - g * f
 
 
-def com_j(f: NcPoly, j: int) -> NcPoly:
-    """Right bracketing against a single generator: f -> [f, x_j]."""
-    return lie_bracket(f, NcPoly.generator(j, f.p, f.d))
-
-
 # ---------------------------------------------------------------------------
 # right standard bracketing
 
@@ -238,13 +234,23 @@ def words_of_degree(d: int, n: int) -> List[Word]:
     return [tuple(w) for w in itertools.product(range(1, d + 1), repeat=n)]
 
 
+def _blocks(d: int, degrees: tuple) -> Tuple[Dict[int, int], int]:
+    """First coordinate of each degree's block of d^n words, and the total width."""
+    starts, width = {}, 0
+    for n in degrees:
+        starts[n] = width
+        width += d**n
+    return starts, width
+
+
 @dataclass(frozen=True)
 class LieSubspace:
     """Subspace of a fixed graded slice of the word algebra, in RREF.
 
     Coordinates are all words of the stored degrees ordered by (degree, lex);
     the pivot of each basis row is its first nonzero coordinate, which makes
-    the representation canonical for a fixed degree range.
+    the representation canonical for a fixed degree range.  Within the block
+    of degree n, word w sits at sum_k (w_k - 1) d^(n-1-k), its big-endian index.
     """
 
     p: int
@@ -279,48 +285,78 @@ class LieSubspace:
     def dim(self) -> int:
         return len(self.rows)
 
-    def words(self) -> List[Word]:
-        return [w for n in self.degrees for w in words_of_degree(self.d, n)]
-
-    def basis_polys(self) -> List[NcPoly]:
-        words = self.words()
-        return [
-            NcPoly({words[i]: c for i, c in enumerate(row) if c}, self.p, self.d)
-            for row in self.rows
-        ]
-
     def com(self) -> "LieSubspace":
-        """Span of [f, x_j] over basis elements f and all generators x_j."""
-        images = [
-            com_j(f, j) for f in self.basis_polys() for j in range(1, self.d + 1)
-        ]
+        """Span of [f, x_j] over basis elements f and all generators x_j.
+
+        In a degree-n block of m = d^n words, f x_j sends word index i to
+        i d + j - 1 and x_j f sends it to (j - 1) m + i, both in degree n + 1.
+        """
+        d, p = self.d, self.p
         degrees = tuple(n + 1 for n in self.degrees)
-        return LieSubspace.from_polys(images, self.p, self.d, degrees)
+        src, _ = _blocks(d, self.degrees)
+        dst, width = _blocks(d, degrees)
+        images = []
+        for row in self.rows:
+            terms = [(dst[n + 1], d**n, i, row[src[n] + i])
+                     for n in self.degrees for i in range(d**n) if row[src[n] + i]]
+            for j in range(d):
+                v = [0] * width
+                for start, m, i, c in terms:
+                    v[start + i * d + j] += c
+                    v[start + j * m + i] -= c
+                images.append([x % p for x in v])
+        return LieSubspace(p, d, degrees, rref(images, p))
 
     def plus(self, other: "LieSubspace") -> "LieSubspace":
         if (self.p, self.d) != (other.p, other.d):
             raise ValueError("mismatched modulus or alphabet size")
         degrees = tuple(sorted(set(self.degrees) | set(other.degrees)))
-        return LieSubspace.from_polys(
-            self.basis_polys() + other.basis_polys(), self.p, self.d, degrees
-        )
+        dst, width = _blocks(self.d, degrees)
+        rows = []
+        for w in (self, other):  # each block moves to its place in the wider range
+            src, _ = _blocks(w.d, w.degrees)
+            for row in w.rows:
+                v = [0] * width
+                for n in w.degrees:
+                    v[dst[n]:dst[n] + w.d**n] = row[src[n]:src[n] + w.d**n]
+                rows.append(v)
+        return LieSubspace(self.p, self.d, degrees, rref(rows, self.p))
 
 
 def com_subspace(w: LieSubspace) -> LieSubspace:
     return w.com()
 
 
+@functools.lru_cache(maxsize=None)
+def _basis_vectors(degrees: tuple, d: int, p: int) -> tuple:
+    """Coordinate vectors of the bracketed Lyndon basis in the given degrees."""
+    starts, width = _blocks(d, degrees)
+    out = []
+    for n in degrees:
+        for b in lambda_basis(d, n, p):
+            v = [0] * width
+            for w, c in b.coeffs.items():
+                v[starts[n] + sum((a - 1) * d**k for k, a in enumerate(reversed(w)))] = c
+            out.append(tuple(v))
+    return tuple(out)
+
+
 def _random_span(degrees: tuple, d: int, p: int, dim: int, seed: int) -> LieSubspace:
     """Span of dim seeded random combinations of the Lie basis in the given degrees."""
-    basis = [b for n in degrees for b in lambda_basis(d, n, p)]
+    if dim < 0:
+        raise ValueError(f"subspace dimension {dim} is negative")
+    basis = _basis_vectors(degrees, d, p)
+    width = _blocks(d, degrees)[1]
     rng = random.Random(seed)
-    polys = []
+    vecs = []
     for _ in range(dim):
-        f = NcPoly.zero(p, d)
+        v = [0] * width
         for b in basis:
-            f = f + b.scale(rng.randrange(p))
-        polys.append(f)
-    return LieSubspace.from_polys(polys, p, d, degrees)
+            c = rng.randrange(p)
+            if c:
+                v = [x + c * y for x, y in zip(v, b)]
+        vecs.append([x % p for x in v])
+    return LieSubspace(p, d, degrees, rref(vecs, p))
 
 
 def random_lie_subspace(d: int, n: int, p: int, dim: int, seed: int) -> LieSubspace:

@@ -5,7 +5,9 @@ explicit elimination here, never through the q-binomial product formula.
 """
 from typing import Iterable, Sequence
 
-from pgrouplab.fplin import poly_divmod, poly_mul
+from pgrouplab.fplin import (
+    fixed_subspace_count, is_invertible, matrix_index_perm, poly_divmod, poly_mul, subspace_masks,
+)
 
 # fixed irreducible moduli per (p, degree); coefficients low-to-high
 _FIELD_MODULI = {
@@ -77,6 +79,18 @@ def _prime_power(q: int) -> tuple:
 def mat_vec(a: Sequence[Sequence[int]], v: Sequence[int], p: int) -> tuple:
     """The product a*v over F_p, written out entry by entry."""
     return tuple(sum(x * y for x, y in zip(row, v)) % p for row in a)
+
+
+def invariant_subspace_count(g: tuple, p: int) -> int:
+    """Brute-force count of g-invariant subspaces of the natural module F_p^m.
+
+    It tests every subspace's vector mask against g's permutation of the
+    vectors, the mask path of `fplin.cauchy_frobenius`; it reads no
+    decomposition of the module.
+    """
+    if not is_invertible(g, p):
+        raise ValueError("matrix is singular")
+    return fixed_subspace_count(matrix_index_perm(g, p, len(g)), subspace_masks(len(g), p))
 
 
 def rref_field(rows: Iterable[Sequence[int]], field: SmallField) -> tuple:

@@ -93,13 +93,55 @@ def test_gaussprods_single_sum_matches_direct_summation():
         assert abs(rep.lhs_log_p - math.log(direct, p)) < 1e-9
 
 
+def _at_shift(x, shift):
+    """x as a + b sqrt(p) times p^(shift/2), for a shift at or below x's own."""
+    return x + SqrtNum(x.p, shift, 0, 0)
+
+
 def test_gaussprods_matches_bigint_oracle():
-    for p, d in [(2, 6), (3, 6)]:
-        fast = bd.gaussprods_tables(p, d, 3)
-        slow = gaussprods_tables_bigint(p, d, 3)
-        for j in (1, 2):
-            for u in range(dn_dim(d, j) + 1):
-                assert abs(fast[j][u].log_p() - slow[j][u].log_p()) < 1e-9
+    # exact equality of sum c p^(k/2) as a + b sqrt(p) at a common shift
+    for d, n in [(6, 3), (4, 4), (2, 6)]:
+        primes = (5,) if d == 2 else (2, 3)
+        tables = {p: bd.gaussprods_tables(p, d, n) for p in primes}
+        for p in primes:
+            slow = gaussprods_tables_bigint(p, d, n)
+            for j in range(1, n):
+                assert len(tables[p][j]) == len(slow[j]) == dn_dim(d, j) + 1
+                for fast, want in zip(tables[p][j], slow[j]):
+                    assert fast.p == p
+                    shift = min(fast.exps.tolist() + [want.half_shift])
+                    got = [0, 0]  # p^(k/2) = p^(shift/2) * sqrt(p)^(k - shift)
+                    for k, c in zip(fast.exps.tolist(), fast.counts.tolist()):
+                        got[(k - shift) % 2] += c * p ** ((k - shift) // 2)
+                    want = _at_shift(want, shift)
+                    assert got == [want.a, want.b], (p, d, n, j)
+        if len(primes) == 2:  # the second prime reads the first one's arrays
+            assert all(np.shares_memory(x.exps, y.exps) for x, y in zip(*(tables[p][1] for p in primes)))
+
+
+def test_gaussprods_tables_are_read_only():
+    tables = bd.gaussprods_tables(2, 4, 4)
+    for arr in (tables[1][0].exps, tables[2][3].counts, tables[4][0].exps):
+        with pytest.raises(ValueError):
+            arr[0] = 7
+
+
+def test_gaussprods_levels_run_once_per_d_n(monkeypatch):
+    calls = []
+    merge = bd._merge_terms
+
+    def counted(exps, counts):
+        calls.append(exps.size)
+        return merge(exps, counts)
+
+    monkeypatch.setattr(bd, "_merge_terms", counted)
+    bd._gaussprods_levels.cache_clear()
+    d, n = 6, 3
+    first = bd.gaussprods_tables(2, d, n)
+    assert len(calls) == sum(dn_dim(d, j) + 1 for j in range(1, n))
+    second = bd.gaussprods_tables(3, d, n)
+    assert len(calls) == sum(dn_dim(d, j) + 1 for j in range(1, n))
+    assert [x.log_p() for x in first[1]] != [x.log_p() for x in second[1]]
 
 
 def test_gaussprods_bound_and_hypothesis_flags():

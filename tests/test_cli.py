@@ -290,6 +290,7 @@ def _truncated_catalog(tmp_path):
     ["lie", "--d", "2", "--n", "3", "--p", "4", "--triangularity"],
     ["lie", "--d", "2", "--n", "3", "--p", "1", "--triangularity"],
     ["lie", "--d", "3", "--n", "2", "--p", "6", "--expansion"],
+    ["lie", "--d", "3", "--n", "3", "--p", "5", "--expansion", "--expansion-dim", "-4"],
 ])
 def test_malformed_input_exits_2_with_failure_list(tmp_path, capsys, args):
     args = [_truncated_catalog(tmp_path) if a == "TRUNCATED" else a for a in args]

@@ -8,6 +8,8 @@ import hypothesis.strategies as st
 from pgrouplab import freelie as fl
 from pgrouplab.fplin import enumerate_subspaces
 
+import lieoracle
+
 
 # ---------------------------------------------------------------------------
 # Lyndon words
@@ -82,8 +84,8 @@ def test_bracket_frozen_examples():
     b = fl.lie_bracket(x1, x2)
     assert b.coefficient((1, 2)) == 1 and b.coefficient((2, 1)) == 6
     assert fl.lie_bracket(x1, x1).is_zero()
-    assert fl.com_j(x1, 1).is_zero()
-    assert fl.com_j(x1, 2) == b
+    assert lieoracle.com_j(x1, 1).is_zero()
+    assert lieoracle.com_j(x1, 2) == b
 
 
 def random_poly(rng, p, d, max_deg=3):
@@ -137,7 +139,7 @@ def test_com_of_bracket_is_negated_extension():
     for p in (2, 3, 5):
         b12 = fl.right_bracketing((1, 2), p, 2)[1]
         b112 = fl.right_bracketing((1, 1, 2), p, 2)[1]
-        assert fl.com_j(b12, 1) == -b112
+        assert lieoracle.com_j(b12, 1) == -b112
 
 
 @pytest.mark.parametrize("d,p", [(2, 2), (2, 3), (3, 2), (3, 5)])
@@ -164,7 +166,7 @@ def test_com_j_injective_on_lie_component(d, n):
     p = 3
     basis = fl.lambda_basis(d, n, p)
     for j in range(1, d + 1):
-        images = [fl.com_j(f, j) for f in basis]
+        images = [lieoracle.com_j(f, j) for f in basis]
         space = fl.LieSubspace.from_polys(images, p, d, degrees=(n + 1,))
         assert space.dim == len(basis)
 
@@ -205,6 +207,55 @@ def test_expansion_exhaustive_degree2(p):
         w = subspace_from_rows(sub.rows, basis, p, 3, (2,))
         rep = fl.expansion_check(w, "homogeneous")
         assert rep.ratio_ok, (p, sub.rows)
+
+
+# ---------------------------------------------------------------------------
+# index-arithmetic brackets and spans against the polynomial-product oracle
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_com_matches_oracle_on_every_degree2_subspace(p):
+    # the 16, 28 and 64 subspaces that criterion 06 checks for d = 3
+    basis = fl.lambda_basis(3, 2, p)
+    subs = list(enumerate_subspaces(len(basis), p))
+    assert len(subs) == {2: 16, 3: 28, 5: 64}[p]
+    for sub in subs:
+        w = subspace_from_rows(sub.rows, basis, p, 3, (2,))
+        assert w.com().rows == lieoracle.com_rows(w.rows, (2,), 3, p), sub.rows
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_graded_span_com_and_plus_match_oracle(d, p):
+    degrees = (1, 2, 3)
+    for seed in range(6):
+        dim = seed + 1
+        w = fl.random_graded_lie_subspace(d, 3, p, dim, seed)
+        assert w.degrees == degrees
+        assert w.rows == lieoracle.random_span_rows(degrees, d, p, dim, seed)
+        c = w.com()
+        assert (c.degrees, c.rows) == ((2, 3, 4), lieoracle.com_rows(w.rows, degrees, d, p))
+        both = (1, 2, 3, 4)
+        polys = (lieoracle.basis_polys(w.rows, degrees, d, p)
+                 + lieoracle.basis_polys(c.rows, c.degrees, d, p))
+        s = w.plus(c)
+        assert (s.degrees, s.rows) == (both, lieoracle.span_rows(polys, both, d, p))
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_random_degree3_span_and_com_match_oracle(p):
+    for seed in range(50):
+        dim = seed % 9
+        w = fl.random_lie_subspace(3, 3, p, dim, seed)
+        assert w.rows == lieoracle.random_span_rows((3,), 3, p, dim, seed), seed
+        assert w.com().rows == lieoracle.com_rows(w.rows, (3,), 3, p), seed
+
+
+@pytest.mark.parametrize("make", [fl.random_lie_subspace, fl.random_graded_lie_subspace])
+def test_random_subspace_rejects_negative_dimension(make):
+    with pytest.raises(ValueError, match="negative"):
+        make(3, 2, 5, -1, 0)
+    assert make(3, 2, 5, 0, 0).dim == 0
 
 
 def test_expansion_vacuous_zero():

@@ -24,6 +24,7 @@ ORACLE_BANNED = {
     "charpolyoracle.py": ("pgrouplab",),
     "exactoracle.py": ("pgrouplab.bounds", "pgrouplab.walk", "matrix_index_perm", "state_table"),
     "familyoracle.py": ("pgrouplab.groups",),
+    "lieoracle.py": ("LieSubspace", "random_lie_subspace", "random_graded_lie_subspace", "rref"),
 }
 
 
@@ -57,6 +58,9 @@ def test_oracle_import_check_can_fail():
     assert [n for n in names if _is_banned(n, ORACLE_BANNED["autcount.py"])] == ["pgrouplab.groups"]
     assert [n for n in names if _is_banned(n, ORACLE_BANNED["exactoracle.py"])] == [
         "pgrouplab.fplin.matrix_index_perm"]
+    tree = ast.parse("from pgrouplab.freelie import NcPoly, LieSubspace\nfrom smallfield import rref_field\n")
+    assert [n for n in _imported_names(tree) if _is_banned(n, ORACLE_BANNED["lieoracle.py"])] == [
+        "pgrouplab.freelie.LieSubspace"]
 
 
 # The constructor certifies the group axioms, so its checks must not run code
@@ -65,9 +69,14 @@ VALIDATE_BANNED = ("_span", "closure")
 
 
 def _names_read_in(source, func):
-    """Every attribute or bare name that the function `func` in source reads."""
-    tree = ast.parse(source)
-    body = next(node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef) and node.name == func)
+    """Every attribute or bare name that the function `func` in source reads.
+
+    A dotted `func` such as "LieSubspace.com" names a method of a class.
+    """
+    body = ast.parse(source)
+    for name in func.split("."):
+        body = next(node for node in ast.walk(body)
+                    if isinstance(node, (ast.ClassDef, ast.FunctionDef)) and node.name == name)
     for node in ast.walk(body):
         if isinstance(node, ast.Attribute):
             yield node.attr
@@ -83,3 +92,40 @@ def test_validate_uses_no_closure_code():
 def test_validate_check_can_fail():
     source = "class G:\n    def _validate(self):\n        covered = self._members(self._span(s))\n"
     assert [n for n in _names_read_in(source, "_validate") if n in VALIDATE_BANNED] == ["_span"]
+
+
+# The subspace operations work on coordinate rows by index arithmetic; the
+# polynomial route is the oracle in tests/lieoracle.py and must not come back.
+POLY_ROUTE = ("com_j", "lie_bracket", "basis_polys", "from_polys")
+
+
+def test_subspace_operations_use_no_polynomial_route():
+    source = (pathlib.Path(pgrouplab.__file__).parent / "freelie.py").read_text()
+    for func in ("LieSubspace.com", "_random_span"):
+        assert [n for n in _names_read_in(source, func) if n in POLY_ROUTE] == [], func
+
+
+def test_polynomial_route_check_can_fail():
+    source = ("class LieSubspace:\n    def plus(self):\n        pass\n"
+              "    def com(self):\n        return LieSubspace.from_polys(images, p, d, degrees)\n")
+    assert [n for n in _names_read_in(source, "LieSubspace.com") if n in POLY_ROUTE] == ["from_polys"]
+
+
+# Counts can reach 2^53 on large tables, so `_gaussprods_levels` must merge
+# through `_merge_terms`, which checks that bound, and sum nothing itself.
+MERGE_BANNED = ("bincount", "add", "sum", "unique", "from_terms")
+
+
+def _merges_outside_the_check(source):
+    names = list(_names_read_in(source, "_gaussprods_levels"))
+    return "_merge_terms" not in names, [n for n in names if n in MERGE_BANNED]
+
+
+def test_gaussprods_levels_merge_only_through_the_checked_merge():
+    source = (pathlib.Path(pgrouplab.__file__).parent / "bounds.py").read_text()
+    assert _merges_outside_the_check(source) == (False, [])
+
+
+def test_gaussprods_merge_check_can_fail():
+    source = "def _gaussprods_levels(d, n):\n    return np.bincount(exps, weights=counts)\n"
+    assert _merges_outside_the_check(source) == (True, ["bincount"])

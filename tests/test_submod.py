@@ -11,6 +11,7 @@ from pgrouplab import fplin as fp
 from pgrouplab import submod as sm
 from pgrouplab.qcombin import Partition, galois_number
 from charpolyoracle import cayley_hamilton_holds, charpoly_leibniz
+from smallfield import invariant_subspace_count
 
 
 def all_partitions_up_to(total):
@@ -164,7 +165,7 @@ def test_class_reps_cover_all_signatures(d, p):
 @pytest.mark.parametrize("m,p", [(2, 2), (2, 3), (3, 2)])
 def test_structural_count_equals_brute_force(m, p):
     for g in fp.gl_enumerate(m, p):
-        assert sm.structural_submodule_count(g, p) == fp.invariant_subspace_count(g, p)
+        assert sm.structural_submodule_count(g, p) == invariant_subspace_count(g, p)
 
 
 # Known decompositions: block-diagonal sums of companion matrices of f^e, with
@@ -226,7 +227,7 @@ def test_decompose_known_modules(p, blocks):
     g, comps = _known_module(blocks, p)
     assert sm.decompose(g, p).components == comps
     if len(g) <= {2: 6, 3: 4}[p]:
-        assert sm.structural_submodule_count(g, p) == fp.invariant_subspace_count(g, p)
+        assert sm.structural_submodule_count(g, p) == invariant_subspace_count(g, p)
 
 
 def test_known_module_irreducible_counts():
