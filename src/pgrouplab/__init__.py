@@ -8,5 +8,5 @@ and the twisted random-walk lab.
 
 __version__ = "0.1.0"
 
-from . import bounds, fplin, freelie, qcombin, submod, walk
+from . import bounds, fplin, freelie, guards, qcombin, submod, walk
 from . import groups

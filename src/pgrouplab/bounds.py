@@ -15,6 +15,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from . import guards
 from .freelie import dn_dim
 from .qcombin import BoundReal, c_series, d_series, exact, gauss_binom, pow_real
 
@@ -151,6 +152,8 @@ def _gaussprods_levels(d: int, n: int) -> Dict[int, Tuple["np.ndarray", "np.ndar
     once per level from the terms of level j + 1 and their u.
     """
     dims = {j: dn_dim(d, j) for j in range(1, n + 1)}
+    # level j merges d_j + 1 slices of level j + 1, so it has at most the product of d_i + 1, i >= j
+    guards.check("gaussprods_terms", math.prod(dim + 1 for dim in dims.values()))
     exps = np.zeros(dims[n] + 1, dtype=np.int64)
     counts = np.ones(dims[n] + 1, dtype=np.int64)
     starts = np.arange(dims[n] + 2)

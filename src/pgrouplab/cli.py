@@ -15,33 +15,23 @@ import json
 import sys
 from typing import List, Optional
 
-from . import __version__, bounds, fplin, freelie, qcombin, submod, walk
+from . import __version__, bounds, fplin, freelie, guards, qcombin, submod, walk
 from .groups.catalog import census as run_census
 from .groups.catalog import parse_catalog
-from .groups.cayley import ORDER_GUARD
+
+MANIFEST_GUARDS = ("group_order", "subspace_count", "gl_order", "walk_states", "walk_steps")
 
 
-def _write_manifest(out_path: Optional[str], command: str, params: dict, seed: Optional[int],
-                    **in_force: int):
-    """`in_force` replaces a default guard by the value a command used, e.g. under --unsafe-limits."""
+def _write_manifest(out_path: Optional[str], command: str, params: dict, seed: Optional[int]):
+    """The manifest records the guards in force, so it is written inside a command's overrides."""
     if not out_path:
         return
-    from .fplin import GL_GUARD, SUBSPACE_GUARD
-    from .walk import STATE_GUARD, STEP_GUARD
-
     manifest = {
         "command": command,
         "params": params,
         "seed": seed,
         "version": __version__,
-        "guards": {
-            "group_order": ORDER_GUARD,
-            "subspace_count": SUBSPACE_GUARD,
-            "gl_order": GL_GUARD,
-            "walk_states": STATE_GUARD,
-            "walk_steps": STEP_GUARD,
-            **in_force,
-        },
+        "guards": {name: guards.LIMITS[name] for name in MANIFEST_GUARDS},
     }
     with open(out_path + ".manifest.json", "w") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
@@ -76,25 +66,21 @@ def _parse_matrix(text: str, d: int) -> tuple:
 # subcommands
 
 
-UNSAFE_GUARD = 10**12
-
-
 def cmd_census(args) -> List[str]:
-    # --unsafe-limits widens the guard on --catalog groups; the bundled catalog keeps the default
-    guard = UNSAFE_GUARD if args.unsafe_limits and args.catalog else ORDER_GUARD
-    entries = None
-    if args.catalog:
-        entries = []
-        for name, g, p in parse_catalog(args.catalog, guard=guard):
-            if p != args.p or g.order != args.p**args.k:
-                raise ValueError(f"catalog entry {name!r} has order {g.order} and prime {p}, "
-                                 f"not order {args.p}^{args.k}")
-            entries.append((name, g))
-    hits, total, rows = run_census(args.p, args.k, entries=entries)
-    out_rows = [[r.name, r.aut_order, str(r.aut_is_p_group).lower()] for r in rows]
-    _write_csv(args.out, ["name", "aut_order", "is_p_group"], out_rows)
-    _write_manifest(args.out, "census", {"p": args.p, "k": args.k, "catalog": args.catalog}, None,
-                    group_order=guard)
+    # --unsafe-limits widens the order guard for --catalog groups; the bundled catalog keeps the default
+    with guards.widened(*(["group_order"] if args.unsafe_limits and args.catalog else [])):
+        entries = None
+        if args.catalog:
+            entries = []
+            for name, g, p in parse_catalog(args.catalog):
+                if p != args.p or g.order != args.p**args.k:
+                    raise ValueError(f"catalog entry {name!r} has order {g.order} and prime {p}, "
+                                     f"not order {args.p}^{args.k}")
+                entries.append((name, g))
+        hits, total, rows = run_census(args.p, args.k, entries=entries)
+        out_rows = [[r.name, r.aut_order, str(r.aut_is_p_group).lower()] for r in rows]
+        _write_csv(args.out, ["name", "aut_order", "is_p_group"], out_rows)
+        _write_manifest(args.out, "census", {"p": args.p, "k": args.k, "catalog": args.catalog}, None)
     print(f"{hits}/{total}")
     return []
 
@@ -210,49 +196,47 @@ def cmd_orbits(args) -> List[str]:
 
 
 def cmd_walk(args) -> List[str]:
-    state_guard = UNSAFE_GUARD if args.unsafe_limits else walk.STATE_GUARD
-    spec = walk.WalkSpec(p=args.p, d=args.d, a_matrix=_parse_matrix(args.a, args.d),
-                         q_weight=args.q, state_guard=state_guard)
-    rows = []
-    failures = []
-    if args.mode == "exact":
-        eigs = [spec.a_matrix[i][i] for i in range(args.d)]
-        diagonal = all(
-            spec.a_matrix[i][j] == 0 for i in range(args.d) for j in range(args.d) if i != j
-        )
-        fou = walk.fourier_steps(spec, args.n)
-        ubs = walk.ubthm_series(args.p, args.d, eigs, args.q, args.n) if diagonal else None
-        for k, dist in enumerate(walk.evolve_steps(spec, args.n)):
-            f = next(fou)
-            neg, drift = walk.dist_diagnostics(dist)
-            if neg < -1e-12 or drift > 1e-9:
-                failures.append(f"distribution sanity violated at step {k}: "
-                                f"min entry {neg:.3e}, mass drift {drift:.3e}")
+    with guards.widened(*(["walk_states"] if args.unsafe_limits else [])):
+        spec = walk.WalkSpec(p=args.p, d=args.d, a_matrix=_parse_matrix(args.a, args.d), q_weight=args.q)
+        rows = []
+        failures = []
+        if args.mode == "exact":
+            eigs = [spec.a_matrix[i][i] for i in range(args.d)]
+            diagonal = all(
+                spec.a_matrix[i][j] == 0 for i in range(args.d) for j in range(args.d) if i != j
+            )
+            fou = walk.fourier_steps(spec, args.n)
+            ubs = walk.ubthm_series(args.p, args.d, eigs, args.q, args.n) if diagonal else None
+            for k, dist in enumerate(walk.evolve_steps(spec, args.n)):
+                f = next(fou)
+                neg, drift = walk.dist_diagnostics(dist)
+                if neg < -1e-12 or drift > 1e-9:
+                    failures.append(f"distribution sanity violated at step {k}: "
+                                    f"min entry {neg:.3e}, mass drift {drift:.3e}")
+                tv = walk.tv_distance(dist)
+                chi = walk.chi2_rhs(f)
+                ub = next(ubs) if diagonal else ""
+                rows.append([k, f"{tv:.12g}", f"{chi:.12g}", f"{ub:.12g}" if ub != "" else ""])
+            print(f"TV {float(rows[-1][1]):.4f}")
+        else:
+            if args.trials < spec.n_states:
+                print(f"warning: {args.trials} trials for {spec.n_states} states "
+                      f"({args.trials / spec.n_states:.3g} per state); the Monte-Carlo TV "
+                      f"mostly measures sampling noise", file=sys.stderr)
+            dist = walk.monte_carlo(spec, args.n, args.trials, args.seed)
             tv = walk.tv_distance(dist)
-            chi = walk.chi2_rhs(f)
-            ub = next(ubs) if diagonal else ""
-            rows.append([k, f"{tv:.12g}", f"{chi:.12g}", f"{ub:.12g}" if ub != "" else ""])
-        print(f"TV {float(rows[-1][1]):.4f}")
-    else:
-        if args.trials < spec.n_states:
-            print(f"warning: {args.trials} trials for {spec.n_states} states "
-                  f"({args.trials / spec.n_states:.3g} per state); the Monte-Carlo TV "
-                  f"mostly measures sampling noise", file=sys.stderr)
-        dist = walk.monte_carlo(spec, args.n, args.trials, args.seed)
-        tv = walk.tv_distance(dist)
-        rows.append([args.n, f"{tv:.12g}", "", ""])
-        print(f"TV {tv:.4f}")
-    _write_csv(args.out, ["n", "tv", "chi2_rhs", "ubthm_bound"], rows)
-    _write_manifest(
-        args.out, "walk",
-        {
-            "p": args.p, "d": args.d, "a": args.a, "q": args.q, "n": args.n,
-            "mode": args.mode,
-            "tolerances": {"distribution_sum": 1e-9, "entry_floor": -1e-12},
-        },
-        args.seed,
-        walk_states=state_guard,
-    )
+            rows.append([args.n, f"{tv:.12g}", "", ""])
+            print(f"TV {tv:.4f}")
+        _write_csv(args.out, ["n", "tv", "chi2_rhs", "ubthm_bound"], rows)
+        _write_manifest(
+            args.out, "walk",
+            {
+                "p": args.p, "d": args.d, "a": args.a, "q": args.q, "n": args.n,
+                "mode": args.mode,
+                "tolerances": {"distribution_sum": 1e-9, "entry_floor": -1e-12},
+            },
+            args.seed,
+        )
     return failures
 
 

@@ -16,11 +16,8 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
+from . import guards
 from .qcombin import _is_prime, galois_number
-
-SUBSPACE_GUARD = 10**6
-GL_GUARD = 10**6  # fixed: every larger GL(d,p) has a permutation table above PERM_GUARD
-PERM_GUARD = 2**25  # entries of LinearAction.perms (128 MB), and dim x vectors of one element
 
 
 # ---------------------------------------------------------------------------
@@ -227,8 +224,7 @@ def enumerate_rref_rows(m: int, p: int, k: int) -> Iterator[tuple]:
 
 def enumerate_subspaces(m: int, p: int) -> Iterator[FpSubspace]:
     """Every subspace of F_p^m exactly once, in canonical (dim, RREF) order."""
-    if galois_number(m, p) > SUBSPACE_GUARD:
-        raise ValueError(f"subspace count for m={m}, p={p} exceeds guard {SUBSPACE_GUARD}")
+    guards.check("subspace_count", galois_number(m, p))
     for k in range(m + 1):
         for rows in enumerate_rref_rows(m, p, k):
             yield FpSubspace(rows, m, p)
@@ -246,8 +242,7 @@ def gl_enumerate(d: int, p: int) -> list:
     if d < 1 or not _is_prime(p):
         raise ValueError(f"GL({d},{p}) needs d >= 1 and a prime p")
     order = gl_order(d, p)
-    if order > GL_GUARD:
-        raise ValueError(f"|GL({d},{p})| = {order} exceeds guard {GL_GUARD}")
+    guards.check("gl_order", order)
     vectors = list(itertools.product(range(p), repeat=d))
     out: list = []
 
@@ -314,8 +309,7 @@ class LinearAction:
             raise ValueError("action must contain the identity")
         if len(set(self.elements)) != len(self.elements):
             raise ValueError("duplicate elements in action")
-        if max(len(self.elements), d) * p**d > PERM_GUARD:
-            raise ValueError(f"permutation table of {len(self.elements)} x {p**d} (dim {d}) exceeds guard {PERM_GUARD}")
+        guards.check("permutation_table", max(len(self.elements), d) * p**d)
         perms = np.empty((len(self.elements), p**d), dtype=np.int32)
         step = 1 + 2**20 // (d * p**d)  # elements per call, so that its int64 work stays at a few MB
         for k in range(0, len(self.elements), step):

@@ -12,19 +12,18 @@ import random
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
+from . import guards
 from .fplin import rref
-
-MAX_ALPHABET = 8
-MAX_DEGREE = 12
 
 Word = Tuple[int, ...]
 
 
 def _check_guards(d: int, n: int):
-    if not (1 <= d <= MAX_ALPHABET):
-        raise ValueError(f"alphabet size {d} outside 1..{MAX_ALPHABET}")
-    if not (1 <= n <= MAX_DEGREE):
-        raise ValueError(f"degree {n} outside 1..{MAX_DEGREE}")
+    if min(d, n) < 1:
+        raise ValueError(f"alphabet size {d} and degree {n} must be at least 1")
+    guards.check("lie_alphabet", d)
+    guards.check("lie_degree", n)
+    guards.check("lie_words", d**n)  # bounded by the two checks above
 
 
 def is_lyndon(w: Word) -> bool:
@@ -321,10 +320,6 @@ class LieSubspace:
                     v[dst[n]:dst[n] + w.d**n] = row[src[n]:src[n] + w.d**n]
                 rows.append(v)
         return LieSubspace(self.p, self.d, degrees, rref(rows, self.p))
-
-
-def com_subspace(w: LieSubspace) -> LieSubspace:
-    return w.com()
 
 
 @functools.lru_cache(maxsize=None)

@@ -34,11 +34,9 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
+from .. import guards
 from ..qcombin import Partition
 from .cayley import CayleyGroup, is_p_power
-
-NODE_GUARD = 10**7  # candidate images tried, over one whole search
-LIST_GUARD = 10**5  # automorphisms aut_group will list
 
 
 def minimal_generating_tuple(g: CayleyGroup, p: Optional[int] = None) -> List[int]:
@@ -101,11 +99,10 @@ class _Search:
     rank already rules every isomorphism out.
     """
 
-    def __init__(self, g: CayleyGroup, target: CayleyGroup, p: Optional[int], guard: int):
+    def __init__(self, g: CayleyGroup, target: CayleyGroup, p: Optional[int]):
         self.n = g.order
         self.target = target
         self.table_t = target.table
-        self.guard = guard
         self.nodes = 0
         phi = _frattini_mask(g, p)
         self.gens = gens = _generating_tuple(g, phi)
@@ -177,10 +174,7 @@ class _Search:
             cand = cand & ~self.target._members(span)
         xs = np.flatnonzero(cand).astype(np.int32)
         self.nodes += xs.size
-        if self.nodes > self.guard:
-            raise ValueError(
-                f"search nodes {self.nodes:.2g} of {self.guard:.2g}: the Aut(G) search exceeds its guard"
-            )
+        guards.check("search_nodes", self.nodes)
         table_t = self.table_t
         imgs = np.repeat(img[None, :], xs.size, axis=0)
         imgs[:, self.gens[k]] = xs
@@ -252,12 +246,11 @@ def _chain_order(s: _Search) -> int:
 def aut_group(g: CayleyGroup, p: Optional[int] = None) -> List[np.ndarray]:
     """All automorphisms as permutation arrays, each verified on construction.
 
-    Raises ValueError when |Aut(G)| exceeds LIST_GUARD, before listing any.
+    Raises ValueError past the listing guard, before listing any.
     """
-    s = _Search(g, g, p, NODE_GUARD)
+    s = _Search(g, g, p)
     n = _chain_order(s)
-    if n > LIST_GUARD:
-        raise ValueError(f"|Aut(G)| = {n} exceeds the listing guard {LIST_GUARD}")
+    guards.check("listed_automorphisms", n)
     auts = list(s.extensions(0, *s.fixed_prefix(0)))
     if len(auts) != n:
         raise ArithmeticError("automorphism search and stabiliser chain disagree on |Aut(G)|")
@@ -270,8 +263,8 @@ def aut_group(g: CayleyGroup, p: Optional[int] = None) -> List[np.ndarray]:
 
 
 def aut_order(g: CayleyGroup, p: Optional[int] = None) -> int:
-    """|Aut(G)| along a stabiliser chain; ValueError past NODE_GUARD search nodes."""
-    return _chain_order(_Search(g, g, p, NODE_GUARD))
+    """|Aut(G)| along a stabiliser chain; ValueError past the search-node guard."""
+    return _chain_order(_Search(g, g, p))
 
 
 def aut_is_p_group(g: CayleyGroup, p: int) -> bool:
@@ -285,7 +278,7 @@ def are_isomorphic(a: CayleyGroup, b: CayleyGroup, p: Optional[int] = None) -> b
         return False
     if a.center().size != b.center().size:
         return False
-    s = _Search(a, b, p, NODE_GUARD)
+    s = _Search(a, b, p)
     return s.feasible and next(s.extensions(0, *s.fixed_prefix(0)), None) is not None
 
 

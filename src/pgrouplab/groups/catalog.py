@@ -10,8 +10,9 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from .. import guards
 from .aut import aut_order, minimal_generating_tuple
-from .cayley import ORDER_GUARD, CayleyGroup, check_order, direct_product, is_p_power
+from .cayley import CayleyGroup, direct_product, is_p_power
 from .families import (
     abelian_of_type,
     c2sq_semidirect_c4,
@@ -144,7 +145,7 @@ def write_catalog(path: str, entries: Sequence[Tuple[str, CayleyGroup, int]]):
             fh.write("generators " + " ".join(str(int(x)) for x in gens) + "\n")
 
 
-def parse_catalog(path: str, guard: int = ORDER_GUARD) -> List[Tuple[str, CayleyGroup, int]]:
+def parse_catalog(path: str) -> List[Tuple[str, CayleyGroup, int]]:
     """Read the format of `write_catalog`; malformed or truncated files raise ValueError.
 
     A name may contain spaces: it is everything between "group" and the
@@ -161,7 +162,7 @@ def parse_catalog(path: str, guard: int = ORDER_GUARD) -> List[Tuple[str, Cayley
         if len(head) != 5 or len(lead) != 2 or (lead[0], head[1], head[3]) != ("group", "order", "prime"):
             raise ValueError(f"malformed catalog header: {lines[i]!r}")
         name, n, p = lead[1], int(head[2]), int(head[4])
-        check_order(n, guard)
+        guards.check("group_order", n)
         if i + 1 + n > len(lines):
             raise ValueError(f"catalog entry {name!r} promises {n} table rows, the file ends first")
         rows = [list(map(int, lines[i + 1 + r].split())) for r in range(n)]
@@ -172,7 +173,7 @@ def parse_catalog(path: str, guard: int = ORDER_GUARD) -> List[Tuple[str, Cayley
         if i < len(lines) and lines[i].startswith("generators"):
             gens = [int(x) for x in lines[i].split()[1:]]
             i += 1
-        g = CayleyGroup(np.array(rows), name=name, generators=gens, guard=guard)
+        g = CayleyGroup(np.array(rows), name=name, generators=gens)
         if gens is not None:
             if any(not 0 <= x < n for x in gens):
                 raise ValueError(f"catalog entry {name!r} has a generator outside 0..{n - 1}")

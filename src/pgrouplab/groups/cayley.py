@@ -24,16 +24,8 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from .. import guards
 from ..qcombin import Partition, _is_prime
-
-ORDER_GUARD = 256
-SUBGROUP_ORDER_GUARD = 243  # C_3^5, the largest group the oracles enumerate
-
-
-def check_order(n: int, guard: int = ORDER_GUARD):
-    """Refuse a group of order n above the guard; constructors call it before building a table."""
-    if n > guard:
-        raise ValueError(f"group order {n} exceeds guard {guard}")
 
 
 def _associates(t: np.ndarray, a: int) -> bool:
@@ -48,13 +40,12 @@ class CayleyGroup:
         name: str = "G",
         generators: Optional[Sequence[int]] = None,
         data: Optional[Sequence] = None,
-        guard: int = ORDER_GUARD,
     ):
         table = np.asarray(table, dtype=np.int32)
         n = table.shape[0]
         if table.ndim != 2 or table.shape != (n, n):
             raise ValueError("table must be square")
-        check_order(n, guard)
+        guards.check("group_order", n)
         self.table = table
         self.order = n
         self.name = name
@@ -208,8 +199,7 @@ class CayleyGroup:
         When a join J = <M, x> has prime index over M, M is maximal in J, so
         <M, y> = J for every y in J outside M: those y are not tried from M.
         """
-        if self.order > SUBGROUP_ORDER_GUARD:
-            raise ValueError(f"group order {self.order} exceeds subgroup guard {SUBGROUP_ORDER_GUARD}")
+        guards.check("subgroup_order", self.order)
         cyclic: Dict[int, int] = {}  # mask of <x> -> its first generator x
         for x in range(self.order):
             cyclic.setdefault(self._span([x]), x)
@@ -352,7 +342,7 @@ def abelian_type_of_orders(orders: np.ndarray, p: int) -> Tuple[int, ...]:
 
 def direct_product(a: CayleyGroup, b: CayleyGroup, name: Optional[str] = None) -> CayleyGroup:
     na, nb = a.order, b.order
-    check_order(na * nb)
+    guards.check("group_order", na * nb)
     table = (a.table[:, None, :, None] * nb + b.table[None, :, None, :]).reshape(
         na * nb, na * nb
     )

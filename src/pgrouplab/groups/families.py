@@ -11,11 +11,12 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .cayley import CayleyGroup, check_order, direct_product, quotient_group
+from .. import guards
+from .cayley import CayleyGroup, direct_product, quotient_group
 
 
 def cyclic(n: int, name: Optional[str] = None) -> CayleyGroup:
-    check_order(n)
+    guards.check("group_order", n)
     table = (np.arange(n)[:, None] + np.arange(n)[None, :]) % n
     return CayleyGroup(table, name=name or f"C{n}")
 
@@ -37,7 +38,7 @@ def metacyclic(m: int, n: int, t: int, s: int = 0, name: Optional[str] = None) -
     Requires t^n = 1 (mod m) and s(t-1) = 0 (mod m) so that the presentation
     is consistent; the Cayley constructor re-verifies associativity anyway.
     """
-    check_order(m * n)
+    guards.check("group_order", m * n)
     t %= m
     s %= m
     if pow(t, n, m) != 1:
@@ -89,7 +90,7 @@ def ut_group(size: int, p: int, name: Optional[str] = None) -> CayleyGroup:
     rows, cols = np.triu_indices(size, 1)
     k = rows.size
     order = p**k
-    check_order(order)
+    guards.check("group_order", order)
     mats = np.tile(np.eye(size, dtype=np.int64), (order, 1, 1))
     mats[:, rows, cols] = list(itertools.product(range(p), repeat=k))
     # only the above-diagonal entries of each product vary
@@ -140,7 +141,7 @@ def semidirect_product(
     homomorphism; associativity of the resulting table certifies this.
     """
     nn, nh = n_grp.order, h_grp.order
-    check_order(nn * nh)
+    guards.check("group_order", nn * nh)
     acts = np.array([act(h) for h in range(nh)], dtype=np.int32)
     n1, h1, n2, h2 = np.ix_(range(nn), range(nh), range(nn), range(nh))
     table = n_grp.table[n1, acts[h1, n2]] * nh + h_grp.table[h1, h2]
@@ -149,7 +150,7 @@ def semidirect_product(
 
 def wreath_cp_cp(p: int) -> CayleyGroup:
     """C_p wr C_p = C_p^p x| C_p, the top C_p shifting the coordinates cyclically."""
-    check_order(p ** (p + 1))
+    guards.check("group_order", p ** (p + 1))
     base = np.array(list(itertools.product(range(p), repeat=p)))
     weights = p ** np.arange(p - 1, -1, -1)
 

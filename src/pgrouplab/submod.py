@@ -24,13 +24,12 @@ import operator
 from dataclasses import dataclass
 from typing import Dict, Iterator, Tuple
 
+from . import guards
 from .fplin import (characteristic_polynomial, mat_identity, mat_mul, mat_rank, monic_irreducibles, poly_divmod,
                     poly_mul, poly_pow)
 from .qcombin import BoundReal, Partition, c_series, d_series, galois_number, gauss_binom
 from .groups.cayley import abelian_type_of_orders
 from .groups.families import abelian_of_type
-
-DECOMPOSE_DIM_GUARD = 8
 
 
 def submodule_count(alpha, beta, q: int) -> int:
@@ -186,8 +185,7 @@ def _exponent_partition(jumps: tuple) -> Partition:
 def decompose(g: tuple, p: int) -> PrimaryDecomposition:
     """Primary decomposition of F_p^m as an F_p[t]-module with t acting as an invertible g."""
     m = len(g)
-    if m > DECOMPOSE_DIM_GUARD:
-        raise ValueError(f"dimension {m} exceeds guard {DECOMPOSE_DIM_GUARD}")
+    guards.check("decompose_dim", m)
     chi = characteristic_polynomial(g, p)
     if chi[0] == 0:
         raise ValueError("matrix is singular")

@@ -13,17 +13,17 @@ from typing import Dict, Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 
+from . import guards
 from .fplin import _index_weights, is_invertible, mat_inverse, matrix_index_perm, state_table
 from .qcombin import _is_prime
 
-STATE_GUARD = 10**6
-STEP_GUARD = 10**5
 MERSENNE_T = (2, 3, 5, 7, 13, 17, 19)
 
 
 def _check_steps(n: int):
-    if not 0 <= n <= STEP_GUARD:
-        raise ValueError(f"step count {n} is outside 0..{STEP_GUARD}")
+    if n < 0:
+        raise ValueError(f"step count {n} is negative")
+    guards.check("walk_steps", n)
 
 
 @dataclass(frozen=True)
@@ -34,7 +34,6 @@ class WalkSpec:
     d: int
     a_matrix: tuple
     q_weight: float = 1.0
-    state_guard: int = STATE_GUARD
 
     def __post_init__(self):
         if not _is_prime(self.p) or self.p == 2:
@@ -47,8 +46,7 @@ class WalkSpec:
         if not 0 <= self.q_weight <= 1:
             raise ValueError("q_weight must lie in [0, 1]")
         object.__setattr__(self, "a_matrix", a)
-        if self.p**self.d > self.state_guard:
-            raise ValueError("state space exceeds guard")
+        guards.check("walk_states", self.p**self.d)
 
     @property
     def n_states(self) -> int:
@@ -124,22 +122,6 @@ def fourier_steps(spec: WalkSpec, n: int) -> Iterator[np.ndarray]:
         np.take(cur, perm_at, out=nxt, mode="clip")  # a permutation: clip never acts
         cur, nxt = nxt, cur
         yield f
-
-
-def fourier_of_walk(spec: WalkSpec, n: int) -> np.ndarray:
-    for f in fourier_steps(spec, n):
-        pass
-    return f
-
-
-def direct_transform(dist: np.ndarray, p: int, d: int) -> np.ndarray:
-    """Transform of an arbitrary distribution, one axis at a time."""
-    w1 = np.exp(2j * np.pi * np.outer(np.arange(p), np.arange(p)) / p)
-    arr = dist.reshape((p,) * d).astype(complex)
-    for axis in range(d):
-        arr = np.tensordot(w1, arr, axes=(1, axis))
-        arr = np.moveaxis(arr, 0, axis)
-    return arr.reshape(-1)
 
 
 def tv_distance(dist: np.ndarray) -> float:

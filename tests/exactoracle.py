@@ -13,6 +13,8 @@ The float walk references (`rolled_steps`, `product_form_steps`, `tv_distance`,
 list the states with `itertools.product`, move mass forward by A instead of
 pulling it back by A^-1, take neighbours with `np.roll`, compute the cosine of
 every state directly and allocate fresh arrays: they must agree bit for bit.
+`direct_transform` is the naive complex transform of any distribution, the
+route that `walk.fourier_steps` is compared with to a tolerance.
 """
 import itertools
 import math
@@ -163,6 +165,16 @@ def product_form_steps(spec, n: int) -> Iterator[np.ndarray]:
         f = f * cur
         cur = cur[perm_at]
         yield f
+
+
+def direct_transform(dist: np.ndarray, p: int, d: int) -> np.ndarray:
+    """Complex transform of an arbitrary distribution, one axis at a time (the naive route)."""
+    w1 = np.exp(2j * np.pi * np.outer(np.arange(p), np.arange(p)) / p)
+    arr = dist.reshape((p,) * d).astype(complex)
+    for axis in range(d):
+        arr = np.tensordot(w1, arr, axes=(1, axis))
+        arr = np.moveaxis(arr, 0, axis)
+    return arr.reshape(-1)
 
 
 def tv_distance(dist: np.ndarray) -> float:

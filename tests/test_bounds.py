@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -273,3 +274,16 @@ def test_powsum_merge_refuses_inexact_counts():
     assert ok.exps.tolist() == [1, 3] and ok.counts.tolist() == [5, 2**53 - 1]
     with pytest.raises(ArithmeticError, match="2\\^53"):
         bd.PowSum.from_terms(2, exps, np.array([2**52, 5, 2**52], dtype=np.int64))
+
+
+def test_gaussprods_terms_guard_refuses_before_allocating():
+    # (5, 10) is in the second hypothesis region; its largest level would need
+    # about 10^33 terms, and without the guard numpy fails on a 5.74 TiB bincount
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="gaussprods level terms .* exceeds guard"):
+            bd.gaussprods_tables(2, 5, 10)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20

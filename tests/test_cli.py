@@ -136,14 +136,14 @@ def test_orbits_natural_module(capsys):
 
 
 def test_orbits_unsafe_limits_keep_the_gl_guard(capsys):
-    # every GL(d,p) above the guard has a permutation table above PERM_GUARD, so
+    # every GL(d,p) above the guard has a permutation table above the permutation guard, so
     # orbits takes no --unsafe-limits: GL(3,5) is refused before enumeration
     code, out = run(["orbits", "--d", "3", "--p", "5", "--unsafe-limits"], capsys)
     assert code == 2
     assert json.loads(out) == {"failures": ["unrecognized arguments: --unsafe-limits"]}
     code, out = run(["orbits", "--d", "3", "--p", "5"], capsys)
     assert code == 2
-    assert json.loads(out) == {"failures": ["|GL(3,5)| = 1488000 exceeds guard 1000000"]}
+    assert json.loads(out) == {"failures": ["GL(d,p) order 1488000 exceeds guard 1000000"]}
 
 
 def test_unsafe_limits_only_on_the_commands_that_read_it():

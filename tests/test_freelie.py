@@ -1,10 +1,12 @@
 import itertools
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
+from pgrouplab import cli
 from pgrouplab import freelie as fl
 from pgrouplab.fplin import enumerate_subspaces
 
@@ -44,6 +46,20 @@ def test_lyndon_guards():
         fl.lyndon_words(9, 2)
     with pytest.raises(ValueError):
         fl.lyndon_words(2, 13)
+
+
+def test_lyndon_words_guard_bounds_the_word_count(capsys):
+    # (8, 12) passes the alphabet and degree guards, but has 5,726,600,880 Lyndon words
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="words of one degree 68719476736 exceeds guard"):
+            fl.lyndon_words(8, 12)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    assert cli.main(["lie", "--d", "8", "--n", "12", "--lyndon"]) == 2
+    assert "words of one degree" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("d", [2, 3, 4, 5])
@@ -178,15 +194,15 @@ def test_com_j_injective_on_lie_component(d, n):
 def test_com_subspace_frozen_examples():
     x1 = fl.NcPoly.generator(1, 5, 3)
     w = fl.LieSubspace.from_polys([x1], 5, 3, degrees=(1,))
-    assert fl.com_subspace(w).dim == 2
+    assert w.com().dim == 2
 
     zero = fl.LieSubspace.from_polys([], 5, 3, degrees=(1,))
-    assert fl.com_subspace(zero).dim == 0
+    assert zero.com().dim == 0
 
     lam1 = fl.LieSubspace.from_polys(
         [fl.NcPoly.generator(i, 3, 2) for i in (1, 2)], 3, 2, degrees=(1,)
     )
-    assert fl.com_subspace(lam1).dim == 1  # the whole degree-2 component
+    assert lam1.com().dim == 1  # the whole degree-2 component
 
 
 def subspace_from_rows(rows, basis, p, d, degrees):

@@ -3,6 +3,7 @@ import ast
 import pathlib
 
 import pgrouplab
+from pgrouplab import guards
 
 
 def test_no_assert_statements_in_library():
@@ -129,3 +130,41 @@ def test_gaussprods_levels_merge_only_through_the_checked_merge():
 def test_gaussprods_merge_check_can_fail():
     source = "def _gaussprods_levels(d, n):\n    return np.bincount(exps, weights=counts)\n"
     assert _merges_outside_the_check(source) == (True, ["bincount"])
+
+
+# Every resource limit lives in pgrouplab/guards.py: the rest of the library
+# passes a table name to `guards.check` and declares no limit or message of its own.
+def _guard_use(source):
+    """The names a source passes to `guards.check`, and its own limit constants and guard messages."""
+    checked, own = [], []
+    for node in ast.walk(ast.parse(source)):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "check"
+                and isinstance(node.func.value, ast.Name) and node.func.value.id == "guards"):
+            arg = node.args[0]
+            checked.append(arg.value if isinstance(arg, ast.Constant) else ast.unparse(arg))
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store) and (
+                node.id.endswith("_GUARD") or node.id.startswith("MAX_")):
+            own.append(node.id)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str) and "exceeds guard" in node.value:
+            own.append(node.value)
+    return checked, own
+
+
+def test_every_guard_is_declared_and_checked_through_the_table():
+    root = pathlib.Path(pgrouplab.__file__).parent
+    checked, own = set(), {}
+    for path in sorted(root.rglob("*.py")):
+        names, constants = _guard_use(path.read_text())
+        checked.update(names)
+        if path.name != "guards.py" and constants:
+            own[str(path.relative_to(root))] = constants
+    assert checked == set(guards.LIMITS)  # every name checked is in the table, every entry is checked
+    assert own == {}
+
+
+def test_guard_table_check_can_fail():
+    source = ('STATE_GUARD = 10**6\nMAX_DEGREE = 12\nguards.check("no_such_guard", n)\n'
+              'raise ValueError(f"step count {n} exceeds guard {STEP}")\n')
+    checked, own = _guard_use(source)
+    assert checked == ["no_such_guard"] and "no_such_guard" not in guards.LIMITS
+    assert own == ["STATE_GUARD", "MAX_DEGREE", " exceeds guard "]
