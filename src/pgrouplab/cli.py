@@ -197,6 +197,7 @@ def cmd_orbits(args) -> List[str]:
 
 def cmd_walk(args) -> List[str]:
     with guards.widened(*(["walk_states"] if args.unsafe_limits else [])):
+        guards.check("walk_states", args.p**args.d)  # before --a is expanded to d x d
         spec = walk.WalkSpec(p=args.p, d=args.d, a_matrix=_parse_matrix(args.a, args.d), q_weight=args.q)
         rows = []
         failures = []

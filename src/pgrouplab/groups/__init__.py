@@ -22,7 +22,6 @@ from .families import (
 )
 from .aut import (
     are_isomorphic,
-    aut_group,
     aut_is_p_group,
     aut_order,
     frattini_action_kernel_order,

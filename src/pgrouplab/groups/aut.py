@@ -24,8 +24,10 @@ every level counted after it.  The images of known orbit points under the
 generators found so far are in the orbit, and the images of failed
 candidates fail, with no further search (G. Butler, Fundamental Algorithms
 for Permutation Groups, LNCS 559, 1991).  A guard caps the search nodes,
-one per candidate image tried, and `aut_group` lists at most 10^5
-automorphisms.
+one per candidate image tried.
+
+The kernel of Aut(G) -> GL(G/Phi(G)) is counted by the same chain, with the
+candidates for each g_k restricted to its coset g_k Phi(G).
 """
 from __future__ import annotations
 
@@ -243,25 +245,6 @@ def _chain_order(s: _Search) -> int:
     return order
 
 
-def aut_group(g: CayleyGroup, p: Optional[int] = None) -> List[np.ndarray]:
-    """All automorphisms as permutation arrays, each verified on construction.
-
-    Raises ValueError past the listing guard, before listing any.
-    """
-    s = _Search(g, g, p)
-    n = _chain_order(s)
-    guards.check("listed_automorphisms", n)
-    auts = list(s.extensions(0, *s.fixed_prefix(0)))
-    if len(auts) != n:
-        raise ArithmeticError("automorphism search and stabiliser chain disagree on |Aut(G)|")
-    for phi in auts:
-        if not np.array_equal(np.sort(phi), np.arange(g.order)):
-            raise ArithmeticError("automorphism search returned a non-bijection")
-        if not np.array_equal(phi[g.table], g.table[phi[:, None], phi[None, :]]):
-            raise ArithmeticError("automorphism search returned a non-homomorphism")
-    return auts
-
-
 def aut_order(g: CayleyGroup, p: Optional[int] = None) -> int:
     """|Aut(G)| along a stabiliser chain; ValueError past the search-node guard."""
     return _chain_order(_Search(g, g, p))
@@ -282,11 +265,19 @@ def are_isomorphic(a: CayleyGroup, b: CayleyGroup, p: Optional[int] = None) -> b
     return s.feasible and next(s.extensions(0, *s.fixed_prefix(0)), None) is not None
 
 
-def frattini_action_kernel_order(g: CayleyGroup, p: int, auts: Sequence[np.ndarray]) -> int:
-    """Order of the subgroup of Aut(G) acting trivially on G/Frattini."""
-    phi = np.zeros(g.order, dtype=bool)
-    phi[g.frattini(p)] = True
-    return sum(1 for a in auts if phi[g.table[a, g.inverse]].all())  # a(x) x^-1 in Phi
+def frattini_action_kernel_order(g: CayleyGroup, p: int) -> int:
+    """Order of the kernel of Aut(G) -> GL(G/Phi(G)), a p-group (Gorenstein, Thm 5.1.4).
+
+    The kernel is the subgroup of automorphisms sending each g_k into g_k Phi(G),
+    so the chain counts it once each candidate set is cut to that coset.
+    """
+    phi = g.frattini(p)
+    s = _Search(g, g, p)
+    for ok, x in zip(s.order_ok, s.gens):
+        coset = np.zeros(g.order, dtype=bool)
+        coset[g.table[x, phi]] = True
+        ok &= coset
+    return _chain_order(s)
 
 
 # ---------------------------------------------------------------------------

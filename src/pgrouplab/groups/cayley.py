@@ -275,14 +275,6 @@ class CayleyGroup:
             raise ValueError(f"group of order {self.order} is not a {p}-group")
         return self._p_series_step(np.arange(self.order, dtype=np.int32), p)
 
-    def min_generators(self, p: int) -> int:
-        phi = self.frattini(p)
-        idx = self.order // phi.size
-        d = round(math.log(idx, p)) if idx > 1 else 0
-        if p**d != idx:
-            raise ArithmeticError(f"Frattini index {idx} is not a power of {p}")
-        return d
-
     def normal_profile_count(self, p: int, u: Sequence[int]) -> int:
         """Number of normal subgroups whose lower-p-series profile matches u."""
         series = self.lower_p_series(p)

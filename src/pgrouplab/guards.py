@@ -13,7 +13,6 @@ _TABLE = {  # name: (limit, what the checked value counts)
     "group_order": (256, "group order"),  # checked before a Cayley table is built
     "subgroup_order": (243, "subgroup-listing order"),  # C_3^5, the largest group the oracles enumerate
     "search_nodes": (10**7, "search nodes"),  # candidate images tried, over one whole Aut(G) search
-    "listed_automorphisms": (10**5, "automorphisms to list"),
     "subspace_count": (10**6, "subspace count"),
     # never widened: every larger GL(d,p) has a permutation table above the next limit
     "gl_order": (10**6, "GL(d,p) order"),

@@ -105,9 +105,6 @@ class PrimaryDecomposition:
     p: int
     dim: int
 
-    def signature(self) -> tuple:
-        return tuple(sorted((f, mu.parts) for f, mu in self.components))
-
 
 @functools.lru_cache(maxsize=None)
 def _factor(poly: tuple, p: int) -> tuple:

@@ -38,6 +38,7 @@ class WalkSpec:
     def __post_init__(self):
         if not _is_prime(self.p) or self.p == 2:
             raise ValueError("p must be an odd prime")
+        guards.check("walk_states", self.p**self.d)
         a = tuple(tuple(int(x) % self.p for x in row) for row in self.a_matrix)
         if len(a) != self.d or any(len(r) != self.d for r in a):
             raise ValueError("a_matrix must be d x d")
@@ -46,7 +47,6 @@ class WalkSpec:
         if not 0 <= self.q_weight <= 1:
             raise ValueError("q_weight must lie in [0, 1]")
         object.__setattr__(self, "a_matrix", a)
-        guards.check("walk_states", self.p**self.d)
 
     @property
     def n_states(self) -> int:

@@ -1,9 +1,11 @@
-"""Pure-Python automorphism counts for small Cayley tables.
+"""Pure-Python automorphism lists for small Cayley tables.
 
 An oracle for `pgrouplab.groups.aut`: it shares none of its code.  It picks
 a generating tuple by a plain closure loop, tries every tuple of generator
 images, and keeps each one that defines a bijective homomorphism, checked
-against every product in the table.
+against every product in the table.  |Aut(G)| is the length of that list,
+and the kernel of the action on G/Phi(G) is the part of it that moves every
+x only within x Phi(G), with Phi(G) closed from p-th powers and commutators.
 """
 import itertools
 from typing import List, Sequence
@@ -34,8 +36,9 @@ def _generating_tuple(table: Sequence[Sequence[int]], identity: int) -> List[int
     return gens
 
 
-def count_automorphisms(table) -> int:
-    """|Aut(G)| for the group with this multiplication table (order <= 16)."""
+def automorphisms(table) -> List[List[int]]:
+    """Every automorphism of the group with this multiplication table (order <= 16),
+    each as the list of images of 0, ..., n-1."""
     table = [list(map(int, row)) for row in table]
     n = len(table)
     if n > ORACLE_ORDER_LIMIT:
@@ -51,7 +54,7 @@ def count_automorphisms(table) -> int:
             if y not in word:
                 word[y] = (x, pos)
                 order.append(y)
-    count = 0
+    auts = []
     for images in itertools.product(range(n), repeat=len(gens)):
         phi = [0] * n
         phi[identity] = identity
@@ -61,5 +64,22 @@ def count_automorphisms(table) -> int:
         if len(set(phi)) != n:
             continue
         if all(phi[table[a][b]] == table[phi[a]][phi[b]] for a in range(n) for b in range(n)):
-            count += 1
-    return count
+            auts.append(phi)
+    return auts
+
+
+def frattini_kernel_count(table, p: int, auts: Sequence[Sequence[int]]) -> int:
+    """How many of auts satisfy phi(x) x^-1 in Phi(G) for every x, G a p-group."""
+    table = [list(map(int, row)) for row in table]
+    n = len(table)
+    identity = next(e for e in range(n) if table[e] == list(range(n)))
+    inverse = [table[x].index(identity) for x in range(n)]
+    gens = set()
+    for x in range(n):
+        power = identity
+        for _ in range(p):
+            power = table[power][x]
+        gens.add(power)
+        gens.update(table[table[inverse[x]][inverse[y]]][table[x][y]] for y in range(n))
+    phi_g = _closure(table, sorted(gens), identity)
+    return sum(all(table[phi[x]][inverse[x]] in phi_g for x in range(n)) for phi in auts)

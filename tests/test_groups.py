@@ -8,12 +8,13 @@ import hypothesis.strategies as st
 
 from pgrouplab import groups as gr
 from pgrouplab import guards
+from pgrouplab.fplin import gl_order
 from pgrouplab.groups.aut import _chain_order, _Search
 from pgrouplab.groups.catalog import catalog, census, fingerprint, parse_catalog, write_catalog
 from pgrouplab.qcombin import galois_number, gauss_binom
 
 from assocoracle import is_associative
-from autcount import count_automorphisms
+from autcount import automorphisms, frattini_kernel_count
 
 
 def small_catalog_groups(max_order=64):
@@ -293,9 +294,9 @@ def test_frattini_is_second_lower_p_series_term_on_relabelled_catalog():
 
 
 def test_min_generators_frozen():
-    assert gr.cyclic(8).min_generators(2) == 1
-    assert gr.dihedral(8).min_generators(2) == 2
-    assert gr.abelian_of_type(2, (1,) * 4).min_generators(2) == 4
+    assert len(gr.minimal_generating_tuple(gr.cyclic(8), 2)) == 1
+    assert len(gr.minimal_generating_tuple(gr.dihedral(8), 2)) == 2
+    assert len(gr.minimal_generating_tuple(gr.abelian_of_type(2, (1,) * 4), 2)) == 4
 
 
 # ---------------------------------------------------------------------------
@@ -487,16 +488,6 @@ def test_aut_order_frozen(name, g, p, want):
     assert gr.aut_order(g, p) == want
 
 
-def test_aut_group_elements_are_verified_automorphisms():
-    q8 = gr.quaternion(8)
-    auts = gr.aut_group(q8, 2)
-    assert len(auts) == 24
-    ident = np.arange(8)
-    assert any(np.array_equal(a, ident) for a in auts)
-    keys = {a.tobytes() for a in auts}
-    assert len(keys) == 24
-
-
 # (with p, without p) for every bundled catalog group
 GENERATING_TUPLES = {
     "C8": ([1], [1]), "C4xC2": ([1, 2], [2, 3]), "C2^3": ([1, 2, 4], [1, 2, 4]),
@@ -532,16 +523,52 @@ def test_aut_multiplicative_on_coprime_products():
     assert gr.aut_order(d8c3) == gr.aut_order(gr.dihedral(8), 2) * gr.aut_order(gr.cyclic(3))
 
 
+def _kernel_fits(g, p, k):
+    """|K| is a p-power and |Aut(G)|/|K|, the image in GL(d,p), divides |GL(d,p)|."""
+    aut = gr.aut_order(g, p)
+    image, rem = divmod(aut, k)
+    power = 1
+    while power < k:
+        power *= p
+    return power == k and rem == 0 and gl_order(len(gr.minimal_generating_tuple(g, p)), p) % image == 0
+
+
 def test_frattini_action_kernel_is_p_group():
-    # the kernel of Aut(G) -> Aut(G/Frattini) always has p-power order
-    for name, g, p in small_catalog_groups(max_order=16):
-        auts = gr.aut_group(g, p)
-        k = gr.frattini_action_kernel_order(g, p, auts)
-        _, proj = gr.quotient_group(g, g.frattini(p))
-        assert k == sum(1 for a in auts if np.array_equal(proj[a], proj)), name
-        while k % p == 0:
-            k //= p
-        assert k == 1, name
+    # the kernel of Aut(G) -> GL(G/Frattini) always has p-power order, and the image lies in GL(d,p)
+    for name, g, p in small_catalog_groups(max_order=125):
+        assert _kernel_fits(g, p, gr.frattini_action_kernel_order(g, p)), name
+
+
+@pytest.mark.parametrize("p,n", [(2, 1), (2, 3), (2, 8), (3, 1), (3, 2), (3, 5), (5, 3), (7, 2), (13, 2)])
+def test_frattini_kernel_of_cyclic_group(p, n):
+    # Aut(C_{p^n}) = (Z/p^n)^*, and the units that are 1 mod p form the kernel
+    assert gr.frattini_action_kernel_order(gr.cyclic(p**n), p) == p ** (n - 1)
+
+
+def test_frattini_kernel_closed_forms():
+    # the inner automorphisms of an extraspecial group of order p^3 act trivially
+    # on G/Phi = G/Z, and they are all of the kernel; elementary abelian groups have Phi = 1
+    groups = {name: (g, p) for name, g, p in small_catalog_groups(max_order=125)}
+    for name in ("D8", "Q8", "E(3^3,exp 3)", "E(3^3,exp 3^2)", "E(5^3,exp 5)", "E(5^3,exp 5^2)"):
+        g, p = groups[name]
+        assert gr.frattini_action_kernel_order(g, p) == p**2, name
+    # past the old listing limit of 10^5 automorphisms: |Aut| = 1,488,000 and 20,158,709,760
+    for p, d in ((5, 3), (2, 6)):
+        assert gr.frattini_action_kernel_order(gr.abelian_of_type(p, (1,) * d), p) == 1
+
+
+def test_frattini_kernel_checks_can_fail():
+    # without the coset cut the chain counts all of Aut(Q8): 24 is neither p^2 nor a p-power
+    q8 = gr.quaternion(8)
+    uncut = _chain_order(_Search(q8, q8, 2))
+    assert (uncut, gr.frattini_action_kernel_order(q8, 2)) == (24, 4)
+    assert not _kernel_fits(q8, 2, uncut)
+
+
+def test_frattini_kernel_needs_a_p_group():
+    assert gr.frattini_action_kernel_order(gr.cyclic(1), 2) == 1
+    with pytest.raises(ValueError, match="is not a 2-group"):
+        gr.frattini_action_kernel_order(gr.cyclic(6), 2)
 
 
 def test_macdonald_frozen():
@@ -552,7 +579,8 @@ def test_macdonald_frozen():
 
 
 @pytest.mark.parametrize(
-    "p,lam", [(2, (2, 1)), (2, (2, 2)), (2, (3, 1)), (3, (1, 1)), (3, (2, 1)), (5, (1, 1))]
+    "p,lam",
+    [(2, (2, 1)), (2, (2, 2)), (2, (3, 1)), (3, (1, 1)), (3, (2, 1)), (5, (1, 1)), (5, (3,)), (5, (2, 1))],
 )
 def test_macdonald_matches_brute_force(p, lam):
     g = gr.abelian_of_type(p, lam)
@@ -564,6 +592,8 @@ def test_winter_frozen_and_brute():
     assert gr.winter_aut_order(3, 1, "exponent_p2") == 54
     assert gr.winter_aut_order(2, 1, "plus") == 8 == gr.aut_order(gr.dihedral(8), 2)
     assert gr.winter_aut_order(2, 1, "minus") == 24 == gr.aut_order(gr.quaternion(8), 2)
+    assert gr.winter_aut_order(5, 1, "exponent_p") == 12000 == gr.aut_order(gr.extraspecial(5, "p"), 5)
+    assert gr.winter_aut_order(5, 1, "exponent_p2") == 500 == gr.aut_order(gr.extraspecial(5, "p2"), 5)
     with pytest.raises(ValueError):
         gr.winter_aut_order(3, 1, "plus")
 
@@ -770,17 +800,8 @@ def _oracle_groups():
 
 @pytest.mark.parametrize("g,p", _oracle_groups())
 def test_aut_order_matches_pure_python_oracle(g, p):
-    want = count_automorphisms(g.table)
-    assert gr.aut_order(g) == want
+    auts = automorphisms(g.table)
+    assert gr.aut_order(g) == len(auts)
     if p is not None:
-        assert gr.aut_order(g, p) == want
-
-
-def test_aut_group_lists_aut_order_elements():
-    for name, g, p in small_catalog_groups(max_order=125):
-        n = gr.aut_order(g, p)
-        if n <= 10**5:
-            assert len(gr.aut_group(g, p)) == n, name
-        else:
-            with pytest.raises(ValueError, match=r"automorphisms to list \d+ exceeds guard 100000"):
-                gr.aut_group(g, p)
+        assert gr.aut_order(g, p) == len(auts)
+        assert gr.frattini_action_kernel_order(g, p) == frattini_kernel_count(g.table, p, auts)

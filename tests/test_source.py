@@ -112,6 +112,24 @@ def test_polynomial_route_check_can_fail():
     assert [n for n in _names_read_in(source, "LieSubspace.com") if n in POLY_ROUTE] == ["from_polys"]
 
 
+# The Frattini kernel is counted along the restricted stabiliser chain; a
+# listing of automorphisms through `_Search.extensions` must not come back.
+def _kernel_route(source):
+    names = list(_names_read_in(source, "frattini_action_kernel_order"))
+    return "_chain_order" in names, "extensions" in names
+
+
+def test_frattini_kernel_counts_along_the_chain():
+    source = (pathlib.Path(pgrouplab.__file__).parent / "groups" / "aut.py").read_text()
+    assert _kernel_route(source) == (True, False)
+
+
+def test_frattini_kernel_route_check_can_fail():
+    source = ("def frattini_action_kernel_order(g, p):\n    s = _Search(g, g, p)\n"
+              "    return sum(1 for a in s.extensions(0, *s.fixed_prefix(0)) if in_kernel(a))\n")
+    assert _kernel_route(source) == (False, True)
+
+
 # Counts can reach 2^53 on large tables, so `_gaussprods_levels` must merge
 # through `_merge_terms`, which checks that bound, and sum nothing itself.
 MERGE_BANNED = ("bincount", "add", "sum", "unique", "from_terms")

@@ -151,13 +151,13 @@ def test_decompose_dimension_reconstruction_and_conjugation_invariance():
             g = rng.choice(gl)
             h = rng.choice(gl)
             conj = fp.mat_mul(fp.mat_mul(h, g, p), fp.mat_inverse(h, p), p)
-            assert sm.decompose(g, p).signature() == sm.decompose(conj, p).signature()
+            assert sm.decompose(g, p).components == sm.decompose(conj, p).components
 
 
 @pytest.mark.parametrize("d,p", [(2, 2), (2, 3), (3, 2), (2, 5)])
 def test_class_reps_cover_all_signatures(d, p):
-    sigs_all = {sm.decompose(g, p).signature() for g in fp.gl_enumerate(d, p)}
-    sigs_reps = {sm.decompose(g, p).signature() for g in fp.gl_class_reps(d, p)}
+    sigs_all = {sm.decompose(g, p).components for g in fp.gl_enumerate(d, p)}
+    sigs_reps = {sm.decompose(g, p).components for g in fp.gl_class_reps(d, p)}
     assert sigs_all == sigs_reps
     assert len(sigs_reps) == len(fp.gl_class_reps(d, p))
 
