@@ -123,6 +123,7 @@ def cmd_bounds(args) -> List[str]:
 def cmd_lie(args) -> List[str]:
     if not qcombin._is_prime(args.p):
         raise ValueError(f"--p must be a prime, not {args.p}")
+    freelie._check_guards(args.d, args.n)  # once, before any mode
     failures = []
     outputs = {}
     if args.witt:

@@ -19,6 +19,7 @@ Word = Tuple[int, ...]
 
 
 def _check_guards(d: int, n: int):
+    """Refuse an alphabet size d and degree n outside the lie_* guards."""
     if min(d, n) < 1:
         raise ValueError(f"alphabet size {d} and degree {n} must be at least 1")
     guards.check("lie_alphabet", d)

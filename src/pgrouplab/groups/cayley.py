@@ -56,6 +56,7 @@ class CayleyGroup:
         self.inverse = self._find_inverses()
         self._orders: Optional[np.ndarray] = None
         self._normals: Optional[List[np.ndarray]] = None  # read-only, built on first request
+        self._series: Dict[int, List[np.ndarray]] = {}  # prime -> read-only lower p-series, likewise
 
     # -- construction checks --------------------------------------------------
 
@@ -145,6 +146,27 @@ class CayleyGroup:
 
     # -- subgroup machinery ------------------------------------------------------
 
+    def _cosets(self, block: List[int], mask: int, todo: List[int], gens: List[int]) -> Tuple[int, List[int]]:
+        """One step of Dimino's algorithm, shared by every closure.
+
+        block lists a subgroup D and mask is a union of right cosets of D.
+        Each w reachable from todo by right multiplication by gens whose coset
+        D*w is not yet in mask adds that coset.  Returns the grown mask and
+        the new coset representatives, in the order they were added.
+        """
+        rows = self._rows
+        reps: List[int] = []
+        while todo:
+            w = todo.pop()
+            if mask >> w & 1:
+                continue
+            for h in block:  # the coset D*w
+                mask |= 1 << rows[h][w]
+            reps.append(w)
+            rep = rows[w]
+            todo += [rep[s] for s in gens]
+        return mask, reps
+
     def _span(self, gens: Iterable[int], base: Optional[int] = None) -> int:
         """Bitmask of <gens, base>; bit x is set iff x is in it.
 
@@ -153,28 +175,31 @@ class CayleyGroup:
         coset representative times a generator that lands outside D.  base is
         the mask of a subgroup that gens normalise (so D*w*b = D*w for b in
         it), which lets the closure start from it without its generators.
+        The element list of D is built only when a further generator needs it.
         """
         rows = self._rows
-        elems = [self.identity] if base is None else self._elements(base).tolist()
+        block = [self.identity] if base is None else self._elements(base).tolist()
         mask = 1 << self.identity if base is None else base
         used: List[int] = []
+        reps: List[int] = []
         for y in gens:
             if mask >> y & 1:
                 continue
+            block += [rows[h][w] for w in reps for h in block]  # D, from the cosets last added
             used.append(y)
-            block = elems[:]  # D; its first element is the identity
-            todo = [y]
-            while todo:
-                w = todo.pop()
-                if mask >> w & 1:
-                    continue
-                for h in block:  # the coset D*w, whose first element is w
-                    x = rows[h][w]
-                    elems.append(x)
-                    mask |= 1 << x
-                rep = rows[w]
-                todo += [rep[s] for s in used]
+            mask, reps = self._cosets(block, mask, [y], used)
         return mask
+
+    def _join(self, block: List[int], mask: int, gens: List[int], x: int) -> Tuple[int, int]:
+        """Masks of M u MxM and of <M, x>, for M = <gens> listed in block.
+
+        Dimino's step from M: the cosets reached from M*x by M's generators
+        alone make up the double coset MxM; each of their representatives
+        times x, and so on by all of gens and x, adds the rest of <M, x>.
+        """
+        double, reps = self._cosets(block, mask, [x], gens)
+        rows = self._rows
+        return double, self._cosets(block, double, [rows[w][x] for w in reps], gens + [x])[0]
 
     def _members(self, mask: int) -> np.ndarray:
         """A bitmask subset as a boolean array over the elements."""
@@ -194,10 +219,13 @@ class CayleyGroup:
         return self._elements(self._span([int(x) for x in gens]))
 
     def all_subgroups(self) -> List[np.ndarray]:
-        """Every subgroup, by closing joins of cyclic subgroups.
+        """Every subgroup, by joins <M, x> of known subgroups M with cyclic x.
 
-        When a join J = <M, x> has prime index over M, M is maximal in J, so
-        <M, y> = J for every y in J outside M: those y are not tried from M.
+        Each M is extended coset by coset (`_join`), never closed again.  No
+        y in MxM is tried from M, since <M, y> = <M, x> for y = m x m': y lies
+        in <M, x>, and x = m^-1 y m'^-1 lies in <M, y>.  When the join J has
+        prime index over M, M is maximal in J, so <M, y> = J for every y in J
+        outside M, and none of those y is tried either.
         """
         guards.check("subgroup_order", self.order)
         cyclic: Dict[int, int] = {}  # mask of <x> -> its first generator x
@@ -207,16 +235,15 @@ class CayleyGroup:
         queue = list(found.items())
         while queue:
             mask, gens = queue.pop()
+            block = self._elements(mask).tolist()
             covered, size = mask, mask.bit_count()
             for x in cyclic.values():
                 if covered >> x & 1:
                     continue
-                join = gens + [x]
-                jmask = self._span(join)
-                if _is_prime(jmask.bit_count() // size):
-                    covered |= jmask
+                double, jmask = self._join(block, mask, gens, x)
+                covered |= jmask if _is_prime(jmask.bit_count() // size) else double
                 if jmask not in found:
-                    found[jmask] = join
+                    join = found[jmask] = gens + [x]
                     queue.append((jmask, join))
         return sorted((self._elements(m) for m in found), key=lambda s: (s.size, s.tolist()))
 
@@ -261,13 +288,17 @@ class CayleyGroup:
         return self._elements(self._span(powers + self._commutators(g_i)))
 
     def lower_p_series(self, p: int) -> List[np.ndarray]:
-        """G_1 >= G_2 >= ..., ending with the trivial subgroup."""
-        if not self.is_p_group(p):
-            raise ValueError(f"group of order {self.order} is not a {p}-group")
-        series = [np.arange(self.order, dtype=np.int32)]
-        while series[-1].size > 1:
-            series.append(self._p_series_step(series[-1], p))
-        return series
+        """G_1 >= G_2 >= ..., ending with the trivial subgroup; read-only arrays built once per p."""
+        if p not in self._series:
+            if not self.is_p_group(p):
+                raise ValueError(f"group of order {self.order} is not a {p}-group")
+            series = [np.arange(self.order, dtype=np.int32)]
+            while series[-1].size > 1:
+                series.append(self._p_series_step(series[-1], p))
+            for term in series:
+                term.flags.writeable = False
+            self._series[p] = series
+        return list(self._series[p])
 
     def frattini(self, p: int) -> np.ndarray:
         """G^p [G, G], the second term of the lower p-series."""

@@ -7,6 +7,7 @@ domain, such as a step count of at least 0, are checked by their functions.
 from __future__ import annotations
 
 import contextlib
+import math
 from typing import Dict, Iterator
 
 _TABLE = {  # name: (limit, what the checked value counts)
@@ -36,7 +37,18 @@ UNSAFE_LIMIT = 10**12  # what --unsafe-limits sets
 def check(name: str, value: int):
     """Raise ValueError when value passes the limit in force for the guard `name`."""
     if value > LIMITS[name]:
-        raise ValueError(f"{_TABLE[name][1]} {value} exceeds guard {LIMITS[name]}")
+        raise ValueError(f"{_TABLE[name][1]} {_shown(value)} exceeds guard {LIMITS[name]}")
+
+
+def _shown(value: int) -> str:
+    """value in full, or as "about 10^k" when it is too long to write out.
+
+    Its size is read from bit_length, since str() itself refuses an int of
+    more than 4,300 digits; 10,000 bits is about 3,000 digits.
+    """
+    if int(value).bit_length() <= 10_000:
+        return str(value)
+    return f"about 10^{round(math.log10(value))}"
 
 
 @contextlib.contextmanager

@@ -189,14 +189,6 @@ def decompose(g: tuple, p: int) -> PrimaryDecomposition:
     return PrimaryDecomposition(_primary_components(g, chi, p), p, m)
 
 
-def minimal_polynomial(g: tuple, p: int) -> tuple:
-    """Monic minimal polynomial of g, low-to-high: the product of f^(mu_1) over its components."""
-    out: tuple = (1,)
-    for f, mu in _primary_components(g, characteristic_polynomial(g, p), p):
-        out = poly_mul(out, poly_pow(f, mu.part(1), p), p)
-    return out
-
-
 def is_scalar(g: tuple, p: int) -> bool:
     m = len(g)
     c = g[0][0] % p

@@ -15,6 +15,7 @@ from pgrouplab.qcombin import galois_number, gauss_binom
 
 from assocoracle import is_associative
 from autcount import automorphisms, frattini_kernel_count
+import suboracle
 
 
 def small_catalog_groups(max_order=64):
@@ -353,18 +354,29 @@ def test_elementary_abelian_subgroup_counts_are_galois_numbers(p, k, count):
     assert len(gr.abelian_of_type(p, (1,) * k).all_subgroups()) == count
 
 
-def test_prime_index_skip_bounds_the_joins_on_c3_5(monkeypatch):
+def _count_joins(monkeypatch):
     joins = []
-    span = gr.CayleyGroup._span
+    join = gr.CayleyGroup._join
 
-    def counted(self, gens, base=None):
-        if len(gens) > 1:  # the cyclic subgroups are spanned from one generator each
-            joins.append(gens)
-        return span(self, gens, base)
+    def counted(self, block, mask, gens, x):
+        joins.append(x)
+        return join(self, block, mask, gens, x)
 
-    monkeypatch.setattr(gr.CayleyGroup, "_span", counted)
+    monkeypatch.setattr(gr.CayleyGroup, "_join", counted)
+    return joins
+
+
+def test_prime_index_skip_bounds_the_joins_on_c3_5(monkeypatch):
+    joins = _count_joins(monkeypatch)
     assert len(gr.abelian_of_type(3, (1,) * 5).all_subgroups()) == 2664
     assert 0 < len(joins) <= 30_000
+
+
+def test_double_coset_skip_bounds_the_joins_on_d128(monkeypatch):
+    # 8,086 joins without the skip of MxM, 2,878 with it
+    joins = _count_joins(monkeypatch)
+    assert len(gr.dihedral(128).all_subgroups()) == 134
+    assert 0 < len(joins) <= 3_000
 
 
 def test_subgroup_guard_243():
@@ -401,6 +413,21 @@ def test_closure_matches_product_fixed_point(data):
     got = h.closure(gens)
     assert got.dtype == np.int32
     assert got.tolist() == want
+
+
+def test_all_subgroups_match_the_one_element_closure_oracle():
+    # the subgroups as sets, not only their number; 38 groups, 622 subgroups
+    rng = np.random.default_rng(23)
+    groups = [(name, _relabel(g, rng.permutation(g.order))) for name, g, _ in small_catalog_groups(max_order=27)]
+    groups += [(f"D{2 * m}", gr.dihedral(2 * m)) for m in range(2, 13)]
+    groups += [("Q16", gr.quaternion(16)), ("A4", _permutation_group(4, True)), ("S4", _permutation_group(4, False))]
+    total = 0
+    for name, g in groups:
+        got = [frozenset(s.tolist()) for s in g.all_subgroups()]
+        assert len(set(got)) == len(got), name
+        assert set(got) == suboracle.subgroups(g.table.tolist()), name
+        total += len(got)
+    assert total == 622
 
 
 @settings(max_examples=60, deadline=None)
@@ -444,6 +471,28 @@ def test_profile_counts_partition_the_normal_subgroups():
         for u in itertools.product(*[range(x + 1) for x in dims]):
             total += g.normal_profile_count(p, list(u))
         assert total == len(g.normal_subgroups())
+
+
+def test_lower_p_series_built_once_per_group_and_prime(monkeypatch):
+    steps = []
+    step = gr.CayleyGroup._p_series_step
+
+    def counted(self, g_i, p):
+        steps.append(g_i.size)
+        return step(self, g_i, p)
+
+    monkeypatch.setattr(gr.CayleyGroup, "_p_series_step", counted)
+    g = gr.extraspecial(3, "p")
+    series = g.lower_p_series(3)
+    dims = [round(np.log(series[i].size / series[i + 1].size) / np.log(3)) for i in range(len(series) - 1)]
+    total = sum(g.normal_profile_count(3, list(u)) for u in itertools.product(*[range(x + 1) for x in dims]))
+    assert total == len(g.normal_subgroups())
+    assert len(steps) == len(series) - 1  # one step per term after G_1, over the whole sweep
+    with pytest.raises(ValueError):
+        series[1][0] = 0  # the stored terms are read-only
+    series.clear()
+    assert [t.size for t in g.lower_p_series(3)] == [27, 3, 1]
+    assert len(steps) == 2
 
 
 def test_normal_subgroups_enumerated_once_per_group(monkeypatch):

@@ -1,4 +1,5 @@
 import json
+import time
 import tracemalloc
 
 import pytest
@@ -10,6 +11,9 @@ def test_check_raises_in_the_one_format():
     guards.check("group_order", 256)
     with pytest.raises(ValueError, match=r"^group order 257 exceeds guard 256$"):
         guards.check("group_order", 257)
+    # a value too long for str() is written by its size, read from bit_length
+    with pytest.raises(ValueError, match=r"^walk states about 10\^4771 exceeds guard 1000000$"):
+        guards.check("walk_states", 3**10000)
 
 
 def test_override_restores_every_limit_after_its_body_raises():
@@ -55,3 +59,19 @@ def test_walk_spec_refuses_the_state_count_before_reading_the_matrix():
     # a_matrix=None would fail with a TypeError if the matrix were reduced first
     with pytest.raises(ValueError, match=r"^walk states 3486784401 exceeds guard 1000000$"):
         walk.WalkSpec(p=3, d=20, a_matrix=None)
+
+
+def test_walk_refuses_a_state_count_too_long_to_write_out(capsys):
+    assert cli.main(["walk", "--p", "3", "--d", "10000", "--a", "2", "--n", "1"]) == 2
+    assert json.loads(capsys.readouterr().out) == {"failures": ["walk states about 10^4771 exceeds guard 1000000"]}
+
+
+@pytest.mark.parametrize("d, n, message", [
+    ("9", "3", "alphabet size 9 exceeds guard 8"),
+    ("2", "1000000000", "Lie degree 1000000000 exceeds guard 12"),  # witt_dim would loop over 1..n
+])
+def test_lie_witt_checks_the_lie_guards_first(capsys, d, n, message):
+    start = time.perf_counter()
+    assert cli.main(["lie", "--d", d, "--n", n, "--witt"]) == 2
+    assert time.perf_counter() - start < 1
+    assert json.loads(capsys.readouterr().out) == {"failures": [message]}
