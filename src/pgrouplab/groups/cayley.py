@@ -19,7 +19,6 @@ public methods take and return subgroups as sorted index arrays.
 """
 from __future__ import annotations
 
-import math
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -57,6 +56,7 @@ class CayleyGroup:
         self._orders: Optional[np.ndarray] = None
         self._normals: Optional[List[np.ndarray]] = None  # read-only, built on first request
         self._series: Dict[int, List[np.ndarray]] = {}  # prime -> read-only lower p-series, likewise
+        self._profiles: Dict[int, Dict[Tuple[int, ...], int]] = {}  # prime -> profile -> normal subgroups
 
     # -- construction checks --------------------------------------------------
 
@@ -219,32 +219,60 @@ class CayleyGroup:
         return self._elements(self._span([int(x) for x in gens]))
 
     def all_subgroups(self) -> List[np.ndarray]:
-        """Every subgroup, by joins <M, x> of known subgroups M with cyclic x.
+        r"""Every subgroup, each accepted once, by canonical augmentation.
+
+        The reps are the first generators of the cyclic subgroups, in index
+        order.  The canonical sequence of a subgroup J scans the reps in that
+        order and keeps each rep in J outside the span of those kept so far.
+        J is the span of its sequence, since each x in J has <x> = <r> for a
+        rep r in J.  Starting from the trivial group, a known M with
+        canonical sequence gens is joined only with reps x > gens[-1], and
+        J = <M, x> is accepted only when x is the least rep in J \ M
+        (orderly generation: R. C. Read, "Every one a winner", Ann. Discrete
+        Math. 2, 1978; B. D. McKay, "Isomorph-free exhaustive generation",
+        J. Algorithms 26, 1998).  Every subgroup is then accepted exactly once:
+
+        - once: if J is accepted from (M, x), the reps below x lie in J iff
+          they lie in M, so J's scan keeps gens, then x, then nothing (the
+          span is J).  J's canonical sequence is gens + [x], which fixes M
+          and x.
+        - at least once: with canonical sequence c_1 < ... < c_k, J's scan
+          and the scan of M = <c_1, ..., c_(k-1)> agree below c_k, so M's
+          sequence is that prefix, and every rep of J below c_k lies in M.
+          By induction on k, M is accepted and J is accepted from (M, c_k).
 
         Each M is extended coset by coset (`_join`), never closed again.  No
         y in MxM is tried from M, since <M, y> = <M, x> for y = m x m': y lies
         in <M, x>, and x = m^-1 y m'^-1 lies in <M, y>.  When the join J has
         prime index over M, M is maximal in J, so <M, y> = J for every y in J
-        outside M, and none of those y is tried either.
+        outside M, and none of those y is tried either.  Neither skip drops
+        an accepted join: a skipped y has <M, y> = <M, x> for a smaller rep x.
+        A subgroup accepted twice raises ArithmeticError.
         """
         guards.check("subgroup_order", self.order)
         cyclic: Dict[int, int] = {}  # mask of <x> -> its first generator x
         for x in range(self.order):
             cyclic.setdefault(self._span([x]), x)
-        found = {mask: [x] for mask, x in cyclic.items()}
-        queue = list(found.items())
+        reps = list(cyclic.values())
+        repmask = sum(1 << x for x in reps)
+        trivial = 1 << self.identity
+        found = {trivial}
+        queue: List[Tuple[int, List[int]]] = [(trivial, [])]
         while queue:
             mask, gens = queue.pop()
             block = self._elements(mask).tolist()
             covered, size = mask, mask.bit_count()
-            for x in cyclic.values():
-                if covered >> x & 1:
+            for x in reps:
+                if covered >> x & 1 or gens and x < gens[-1]:
                     continue
                 double, jmask = self._join(block, mask, gens, x)
                 covered |= jmask if _is_prime(jmask.bit_count() // size) else double
-                if jmask not in found:
-                    join = found[jmask] = gens + [x]
-                    queue.append((jmask, join))
+                fresh = jmask & ~mask & repmask
+                if fresh & -fresh == 1 << x:
+                    if jmask in found:
+                        raise ArithmeticError(f"subgroup of order {jmask.bit_count()} accepted twice")
+                    found.add(jmask)
+                    queue.append((jmask, gens + [x]))
         return sorted((self._elements(m) for m in found), key=lambda s: (s.size, s.tolist()))
 
     def is_normal(self, sub: np.ndarray) -> bool:
@@ -307,19 +335,27 @@ class CayleyGroup:
         return self._p_series_step(np.arange(self.order, dtype=np.int32), p)
 
     def normal_profile_count(self, p: int, u: Sequence[int]) -> int:
-        """Number of normal subgroups whose lower-p-series profile matches u."""
+        """Number of normal subgroups whose lower-p-series profile matches u.
+
+        The profile of N is (u_1, ..., u_k) with p^u_i = |N & G_i| / |N & G_(i+1)|,
+        the order of (N & G_i)G_(i+1)/G_(i+1), as G_(i+1) <= G_i.  It does not
+        depend on u, so the first call for p tabulates every normal subgroup's
+        profile, and each call reads the table.
+        """
         series = self.lower_p_series(p)
         n_len = len(series) - 1
         if len(u) != n_len:
             raise ValueError(f"profile length {len(u)} != lower p-length {n_len}")
-        count = 0
-        for sub in self.normal_subgroups():
-            # (N & G_i)G_{i+1}/G_{i+1} has order |N & G_i| / |N & G_{i+1}|, as G_{i+1} <= G_i
-            mask = np.zeros(self.order, dtype=bool)
-            mask[sub] = True
-            sizes = [int(mask[term].sum()) for term in series]
-            count += all(sizes[i] == sizes[i + 1] * p ** u[i] for i in range(n_len))
-        return count
+        if p not in self._profiles:
+            terms = [self._mask(term) for term in series]
+            table: Dict[Tuple[int, ...], int] = {}
+            for sub in self.normal_subgroups():
+                mask = self._mask(sub)
+                logs = [_exact_log((mask & term).bit_count(), p) for term in terms]
+                profile = tuple(logs[i] - logs[i + 1] for i in range(n_len))
+                table[profile] = table.get(profile, 0) + 1
+            self._profiles[p] = table
+        return self._profiles[p].get(tuple(u), 0)
 
     # -- abelian invariants -----------------------------------------------------------
 
@@ -339,6 +375,17 @@ def is_p_power(n: int, p: int) -> bool:
     return n == 1
 
 
+def _exact_log(c: int, p: int) -> int:
+    """The k with c = p^k; ArithmeticError when c is not a power of p."""
+    k, rest = 0, c
+    while rest > 1 and rest % p == 0:
+        rest //= p
+        k += 1
+    if rest != 1:
+        raise ArithmeticError(f"{c} is not a power of {p}")
+    return k
+
+
 def abelian_type_of_orders(orders: np.ndarray, p: int) -> Tuple[int, ...]:
     """Type lambda of an abelian p-group, given the orders of its elements.
 
@@ -350,7 +397,7 @@ def abelian_type_of_orders(orders: np.ndarray, p: int) -> Tuple[int, ...]:
     i = 1
     while True:
         c = int((orders <= p**i).sum())
-        s = round(math.log(c, p)) if c > 1 else 0
+        s = _exact_log(c, p)
         jumps.append(s - prev)
         prev = s
         if c == orders.size:

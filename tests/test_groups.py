@@ -209,6 +209,14 @@ def test_abelian_series_types(p, lam):
         assert sub.abelian_type(p) == expected
 
 
+def test_abelian_type_refuses_a_layer_that_is_not_a_p_power():
+    # three elements of order dividing 2: no 2-group has that layer, and
+    # round(log2(3)) = 2 read it as a rank
+    with pytest.raises(ArithmeticError, match="3 is not a power of 2"):
+        gr.cayley.abelian_type_of_orders(np.array([1, 2, 2, 4]), 2)
+    assert gr.cayley.abelian_type_of_orders(np.array([1, 2, 4, 4]), 2) == (2,)
+
+
 @pytest.mark.parametrize("size,p", [(3, 3), (4, 2)])
 def test_unitriangular_series_is_diagonal_cutoff(size, p):
     # i-th term: matrices vanishing at positions with 0 < col - row < i
@@ -367,16 +375,24 @@ def _count_joins(monkeypatch):
 
 
 def test_prime_index_skip_bounds_the_joins_on_c3_5(monkeypatch):
+    # 25,652 joins when every M was joined with every rep, 23,110 by canonical augmentation
     joins = _count_joins(monkeypatch)
     assert len(gr.abelian_of_type(3, (1,) * 5).all_subgroups()) == 2664
-    assert 0 < len(joins) <= 30_000
+    assert 0 < len(joins) <= 23_500
 
 
 def test_double_coset_skip_bounds_the_joins_on_d128(monkeypatch):
-    # 8,086 joins without the skip of MxM, 2,878 with it
+    # 8,086 joins without the skip of MxM, 2,878 with it, 2,335 by canonical augmentation
     joins = _count_joins(monkeypatch)
     assert len(gr.dihedral(128).all_subgroups()) == 134
-    assert 0 < len(joins) <= 3_000
+    assert 0 < len(joins) <= 2_400
+
+
+def test_canonical_augmentation_bounds_the_joins_on_c9_c3_3(monkeypatch):
+    # 4,062 joins when every M was joined with every rep, 1,991 by canonical augmentation
+    joins = _count_joins(monkeypatch)
+    assert len(gr.abelian_of_type(3, (2, 1, 1, 1)).all_subgroups()) == 396
+    assert 0 < len(joins) <= 2_050
 
 
 def test_subgroup_guard_243():
@@ -476,23 +492,50 @@ def test_profile_counts_partition_the_normal_subgroups():
 def test_lower_p_series_built_once_per_group_and_prime(monkeypatch):
     steps = []
     step = gr.CayleyGroup._p_series_step
+    listings = []
+    normal_subgroups = gr.CayleyGroup.normal_subgroups
 
     def counted(self, g_i, p):
         steps.append(g_i.size)
         return step(self, g_i, p)
 
+    def listed(self):
+        listings.append(self)
+        return normal_subgroups(self)
+
     monkeypatch.setattr(gr.CayleyGroup, "_p_series_step", counted)
+    monkeypatch.setattr(gr.CayleyGroup, "normal_subgroups", listed)
     g = gr.extraspecial(3, "p")
     series = g.lower_p_series(3)
     dims = [round(np.log(series[i].size / series[i + 1].size) / np.log(3)) for i in range(len(series) - 1)]
     total = sum(g.normal_profile_count(3, list(u)) for u in itertools.product(*[range(x + 1) for x in dims]))
+    assert len(listings) == 1  # the profile table, over the whole sweep
     assert total == len(g.normal_subgroups())
     assert len(steps) == len(series) - 1  # one step per term after G_1, over the whole sweep
+    with pytest.raises(ValueError, match="profile length 3 != lower p-length 2"):
+        g.normal_profile_count(3, [0, 0, 0])  # u is checked on every call, not only the first
     with pytest.raises(ValueError):
         series[1][0] = 0  # the stored terms are read-only
     series.clear()
     assert [t.size for t in g.lower_p_series(3)] == [27, 3, 1]
     assert len(steps) == 2
+
+
+def test_profile_counts_match_the_oracle_on_the_relabelled_catalogs():
+    # every u of the sweep, including those no normal subgroup has
+    rng = np.random.default_rng(24)
+    pairs = 0
+    for p, k in ((2, 3), (2, 4), (3, 3)):
+        for name, g in catalog(p, k):
+            h = _relabel(g, rng.permutation(g.order))
+            want = suboracle.normal_profile_counts(h.table.tolist(), p)
+            series = h.lower_p_series(p)
+            dims = [round(np.log(series[i].size / series[i + 1].size) / np.log(p)) for i in range(len(series) - 1)]
+            for u in itertools.product(*[range(x + 1) for x in dims]):
+                assert h.normal_profile_count(p, list(u)) == want.pop(u, 0), (name, u)
+                pairs += 1
+            assert want == {}, name
+    assert pairs == 200
 
 
 def test_normal_subgroups_enumerated_once_per_group(monkeypatch):
