@@ -180,8 +180,6 @@ def cmd_orbits(args) -> List[str]:
         action = fplin.natural_action(args.d, args.p)
     else:
         action = fplin.wedge_module(args.d, args.p)
-    for note in action.notes:
-        print(f"note: {note}", file=sys.stderr)
     cf_count, _ = fplin.cauchy_frobenius(action)
     census = fplin.regular_orbits(action)
     if cf_count != census.orbit_count:

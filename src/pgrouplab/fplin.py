@@ -4,7 +4,8 @@ Everything here is exact modular arithmetic on small matrices.  For orbit counti
 a matrix acts as a permutation of the p^m vectors (the big-endian index shared with
 `walk`) and a subspace as the mask of its vectors; RREF stays canonical form and oracle.
 `rref` is the canonical form of a row space; `mat_rank` only counts pivots by forward
-elimination and builds no reduced form.
+elimination and builds no reduced form.  GL(d,p) acts on the multiplicator of the
+p-covering group of C_p^d by one formula for every p, `wedge_matrix`.
 """
 from __future__ import annotations
 
@@ -239,10 +240,10 @@ def gl_order(d: int, p: int) -> int:
 
 def gl_enumerate(d: int, p: int) -> list:
     """All invertible d x d matrices over F_p, built row by row."""
+    order = gl_order(d, p)
+    guards.check("gl_order", order)  # first, since trial division is slow for a huge p
     if d < 1 or not _is_prime(p):
         raise ValueError(f"GL({d},{p}) needs d >= 1 and a prime p")
-    order = gl_order(d, p)
-    guards.check("gl_order", order)
     vectors = list(itertools.product(range(p), repeat=d))
     out: list = []
 
@@ -288,6 +289,7 @@ def fixed_subspace_count(perm: np.ndarray, masks: np.ndarray) -> int:
 class LinearAction:
     """A finite matrix group acting on F_p^dim; element list is the whole group.
 
+    `name` labels the action in the `orbits` CSV.
     `perms[i]` permutes the vector index as element i does.  Dimino's closure
     checks exhaustively that the elements form a group.
     """
@@ -296,7 +298,6 @@ class LinearAction:
     p: int
     dim: int
     name: str = "action"
-    notes: tuple = ()
     perms: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -348,29 +349,24 @@ def wedge_pairs(d: int) -> list:
 
 
 def wedge_matrix(g: tuple, p: int) -> tuple:
-    """Block matrix acting as g on V and as the induced map on the wedge square."""
-    d = len(g)
-    pairs = wedge_pairs(d)
-    m = d + len(pairs)
-    out = [[0] * m for _ in range(m)]
-    for i in range(d):
-        for j in range(d):
-            out[i][j] = g[i][j] % p
-    for col, (i, j) in enumerate(pairs):
-        for row, (k, l) in enumerate(pairs):
-            out[d + row][d + col] = (g[k][i] * g[l][j] - g[l][i] * g[k][j]) % p
-    return tuple(tuple(r) for r in out)
+    """g on the multiplicator M = V + wedge(V,V) of the p-covering group R of C_p^d.
+
+    Columns are the images of x_i^p, then of [x_j, x_i] for i < j, under the lift
+    x_i -> prod_k x_k^g[k][i].  M is central in R, so (xy)^p = x^p y^p [y,x]^C(p,2)
+    and x_i^p also picks up C(p,2) g[k][i] g[l][i] on the pair (k, l), 0 for odd p.
+    """
+    pairs = wedge_pairs(len(g))
+    c = p * (p - 1) // 2
+    top = [[x % p for x in row] + [0] * len(pairs) for row in g]
+    low = [[c * g[k][i] * g[l][i] % p for i in range(len(g))]
+           + [(g[k][i] * g[l][j] - g[l][i] * g[k][j]) % p for i, j in pairs] for k, l in pairs]
+    return tuple(map(tuple, top + low))
 
 
 def wedge_module(d: int, p: int) -> LinearAction:
-    """GL(d,p) acting on V + wedge(V,V); split direct-sum model.
-
-    For p = 2 the flat sum is only a stand-in for the non-split module that
-    actually occurs, so the action carries an explanatory note.
-    """
-    notes = ("split-model (non-split extension not constructed)",) if p == 2 else ()
+    """GL(d,p) acting on the multiplicator M of the p-covering group of C_p^d."""
     elems = tuple(wedge_matrix(g, p) for g in gl_enumerate(d, p))
-    return LinearAction(elems, p, d + len(wedge_pairs(d)), name=f"GL({d},{p}) wedge", notes=notes)
+    return LinearAction(elems, p, d + len(wedge_pairs(d)), name=f"GL({d},{p}) wedge")
 
 
 def cauchy_frobenius(action: LinearAction) -> tuple:

@@ -29,6 +29,8 @@ _TABLE = {  # name: (limit, what the checked value counts)
     # the product of d_j + 1 over j = 1..n bounds every level: 23,847,048 at (d, n) = (7, 4),
     # the largest pair the appendix estimates reach; (4, 5) needs 4.6e7 and (6, 5) 1.1e10
     "gaussprods_terms": (2**25, "gaussprods level terms"),
+    # never widened: trial division by up to 10^6 factors takes about 0.1 s
+    "prime_candidate": (10**12, "prime candidate"),
 }
 LIMITS: Dict[str, int] = {name: limit for name, (limit, _) in _TABLE.items()}
 UNSAFE_LIMIT = 10**12  # what --unsafe-limits sets

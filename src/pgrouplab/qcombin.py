@@ -11,6 +11,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
+from . import guards
+
 # Per-operation relative rounding budget.  Deliberately generous compared to
 # actual double precision so enclosures stay sound without interval libraries.
 REL_ERR = 1e-12
@@ -173,6 +175,8 @@ class Partition:
 
 
 def _is_prime(n: int) -> bool:
+    """Trial division, refused past the `prime_candidate` guard before it starts."""
+    guards.check("prime_candidate", n)
     return n >= 2 and all(n % f for f in range(2, math.isqrt(n) + 1))
 
 

@@ -154,11 +154,11 @@ def test_unsafe_limits_only_on_the_commands_that_read_it():
     assert sum(len(opts) for opts in options.values()) == 40
 
 
-def test_orbits_prints_the_wedge_note_to_stderr(capsys):
+def test_orbits_wedge_p2_writes_nothing_to_stderr(capsys):
     assert cli.main(["orbits", "--d", "2", "--p", "2", "--module", "wedge"]) == 0
     captured = capsys.readouterr()
-    assert captured.err == "note: split-model (non-split extension not constructed)\n"
-    assert len(captured.out.splitlines()) == 1 and captured.out.startswith("orbits=")
+    assert captured.err == ""
+    assert captured.out == "orbits=8 regular=0\n"
 
 
 def test_manifest_records_the_guards_in_force(tmp_path):
@@ -178,9 +178,9 @@ def test_orbits_gl32_wedge(tmp_path, capsys):
     code, out = run(["orbits", "--d", "3", "--p", "2", "--module", "wedge",
                      "--out", str(out_path)], capsys)
     assert code == 0  # the Cauchy-Frobenius count agrees with the orbit census
-    assert out.strip() == "orbits=70 regular=3"
+    assert out.strip() == "orbits=68 regular=2"  # one orbit per group R/N, as tests/test_pcover.py checks
     rows = list(csv.reader(out_path.read_text().splitlines()))[1:]
-    assert len(rows) == 70
+    assert len(rows) == 68
     assert sum(int(r[2]) for r in rows) == galois_number(6, 2) == 2825
     assert all(int(r[2]) * int(r[3]) == 168 for r in rows)
 

@@ -4,7 +4,7 @@ import tracemalloc
 
 import pytest
 
-from pgrouplab import cli, guards, walk
+from pgrouplab import cli, guards, qcombin, walk
 
 
 def test_check_raises_in_the_one_format():
@@ -75,3 +75,26 @@ def test_lie_witt_checks_the_lie_guards_first(capsys, d, n, message):
     assert cli.main(["lie", "--d", d, "--n", n, "--witt"]) == 2
     assert time.perf_counter() - start < 1
     assert json.loads(capsys.readouterr().out) == {"failures": [message]}
+
+
+BIG_PRIME = 10000000000000061  # trial division to its square root takes about 6 s
+PRIME_REFUSED = f"prime candidate {BIG_PRIME} exceeds guard 1000000000000"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["orbits", "--d", "2", "--p", str(BIG_PRIME)],
+     f"GL(d,p) order {(BIG_PRIME**2 - 1) * (BIG_PRIME**2 - BIG_PRIME)} exceeds guard 1000000"),
+    (["bounds", "--kind", "limit1", "--p", str(BIG_PRIME), "--d", "3", "--n", "3"], PRIME_REFUSED),
+    (["lie", "--d", "2", "--n", "3", "--p", str(BIG_PRIME), "--witt"], PRIME_REFUSED),
+], ids=["orbits", "bounds", "lie"])
+def test_a_huge_prime_is_refused_before_trial_division(capsys, argv, message):
+    start = time.perf_counter()
+    assert cli.main(argv) == 2
+    assert time.perf_counter() - start < 0.5
+    assert json.loads(capsys.readouterr().out) == {"failures": [message]}
+
+
+def test_the_prime_guard_admits_up_to_its_limit_and_refuses_above():
+    assert qcombin._is_prime(999999999989)  # the largest prime below 10^12, in about 0.1 s
+    with pytest.raises(ValueError, match=r"^prime candidate 1000000000001 exceeds guard 1000000000000$"):
+        qcombin._is_prime(10**12 + 1)

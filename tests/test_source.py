@@ -26,6 +26,7 @@ ORACLE_BANNED = {
     "exactoracle.py": ("pgrouplab.bounds", "pgrouplab.walk", "matrix_index_perm", "state_table"),
     "familyoracle.py": ("pgrouplab.groups",),
     "lieoracle.py": ("LieSubspace", "random_lie_subspace", "random_graded_lie_subspace", "rref"),
+    "pcover.py": ("pgrouplab",),
     "suboracle.py": ("pgrouplab",),
 }
 
