@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import itertools
 import json
 import sys
 from typing import List, Optional
@@ -95,7 +94,8 @@ def cmd_bounds(args) -> List[str]:
     if min(ds) < 1:
         raise ValueError(f"--d must be at least 1, not {min(ds)}")
     # the dn inequalities do not depend on p: their rows carry p = 0
-    for p, d, n in itertools.product([0] if args.kind == "dn" else sorted(ps), sorted(ds), sorted(ns)):
+    grid = [(p, d, n) for p in ([0] if args.kind == "dn" else sorted(ps)) for d in sorted(ds) for n in sorted(ns)]
+    for p, d, n in grid:
         if args.kind == "limit1":
             # the bound is 1 plus a positive term: a value to report, with nothing to check
             rep = bounds.limit1_bound(p, d, n)

@@ -1,11 +1,12 @@
 """Dense linear algebra over F_p on tuples of tuples.
 
-Everything here is exact modular arithmetic on small matrices.  For orbit counting
-a matrix acts as a permutation of the p^m vectors (the big-endian index shared with
-`walk`) and a subspace as the mask of its vectors; RREF stays canonical form and oracle.
-`rref` is the canonical form of a row space; `mat_rank` only counts pivots by forward
-elimination and builds no reduced form.  GL(d,p) acts on the multiplicator of the
-p-covering group of C_p^d by one formula for every p, `wedge_matrix`.
+Everything here is exact modular arithmetic on small matrices.  One numbering, the
+big-endian index of `state_table`, serves the vectors here and in `walk`, the words of
+`freelie` (in base d) and the elements of the `groups` families.  One image kernel on
+it, `matrix_index_perm`, gives the permutation of the p^m vectors by a matrix and the
+vectors of the span of a basis: RREF names a subspace, and membership is tested only
+through vector masks.  `mat_rank` counts pivots by forward elimination.  GL(d,p) acts on
+the multiplicator of the p-covering group of C_p^d by one formula for every p, `wedge_matrix`.
 """
 from __future__ import annotations
 
@@ -52,11 +53,14 @@ def _index_weights(p: int, d: int) -> np.ndarray:
     return np.array([p ** (d - 1 - i) for i in range(d)], dtype=np.int64)
 
 
-def matrix_index_perm(m, p: int, d: int) -> np.ndarray:
-    """Permutation i -> index of M * state(i); a stack of matrices gives one row each."""
-    img = np.array(m, dtype=np.int64) @ state_table(p, d).T
+def matrix_index_perm(m, p: int) -> np.ndarray:
+    """Entry i is the index of M * state(i) for an r x c matrix M and i < p^c; a stack of
+    matrices gives one row each.  An invertible M gives a permutation of the indices, and
+    a basis written as the columns of M gives the indices of its span, each once."""
+    m = np.array(m, dtype=np.int64)
+    img = m @ state_table(p, m.shape[-1]).T
     img %= p  # in place: for a stack of matrices this is the largest array
-    return _index_weights(p, d) @ img
+    return _index_weights(p, m.shape[-2]) @ img
 
 
 def rref(rows: Iterable[Sequence[int]], p: int) -> tuple:
@@ -174,17 +178,6 @@ def is_invertible(a: tuple, p: int) -> bool:
     return mat_rank(a, p) == len(a)
 
 
-def reduce_against(v: Sequence[int], rows: tuple, p: int) -> tuple:
-    """Reduce a vector against RREF rows; zero result means membership."""
-    w = list(x % p for x in v)
-    for row in rows:
-        piv = next(i for i, x in enumerate(row) if x)
-        if w[piv]:
-            c = w[piv]
-            w = [(x - c * y) % p for x, y in zip(w, row)]
-    return tuple(w)
-
-
 # ---------------------------------------------------------------------------
 # subspaces
 
@@ -200,9 +193,6 @@ class FpSubspace:
     @property
     def dim(self) -> int:
         return len(self.rows)
-
-    def contains(self, v: Sequence[int]) -> bool:
-        return not any(reduce_against(v, self.rows, self.p))
 
 
 def enumerate_rref_rows(m: int, p: int, k: int) -> Iterator[tuple]:
@@ -238,28 +228,37 @@ def gl_order(d: int, p: int) -> int:
     return order
 
 
-def gl_enumerate(d: int, p: int) -> list:
-    """All invertible d x d matrices over F_p, built row by row."""
+def _checked_gl_order(d: int, p: int) -> int:
     order = gl_order(d, p)
     guards.check("gl_order", order)  # first, since trial division is slow for a huge p
     if d < 1 or not _is_prime(p):
         raise ValueError(f"GL({d},{p}) needs d >= 1 and a prime p")
-    vectors = list(itertools.product(range(p), repeat=d))
+    return order
+
+
+def _span_mask(rows: Sequence[Sequence[int]], m: int, p: int) -> np.ndarray:
+    """The span of the rows in F_p^m as a mask over the p^m vector indices."""
+    mask = np.zeros(p**m, dtype=bool)
+    mask[matrix_index_perm(np.array(rows, dtype=np.int64).reshape(len(rows), m).T, p)] = True
+    return mask
+
+
+def gl_enumerate(d: int, p: int) -> list:
+    """All invertible d x d matrices over F_p in lexicographic order: each next row runs,
+    in index order, over the vectors outside the span of the rows so far."""
+    order = _checked_gl_order(d, p)
+    vectors = list(map(tuple, state_table(p, d).tolist()))
     out: list = []
 
-    def extend(rows: list):
-        if len(rows) == d:
-            out.append(tuple(rows))
-            return
-        span = rref(rows, p) if rows else ()
-        for v in vectors:
-            if rows and not any(reduce_against(v, span, p)):
-                continue
-            if not rows and not any(v):
-                continue
-            extend(rows + [v])
+    def extend(rows: list, span: np.ndarray):
+        for i in np.flatnonzero(~span).tolist():
+            basis = rows + [vectors[i]]
+            if len(basis) == d:
+                out.append(tuple(basis))
+            else:
+                extend(basis, _span_mask(basis, d, p))
 
-    extend([])
+    extend([], _span_mask([], d, p))
     if len(out) != order:
         raise ArithmeticError(f"enumerated {len(out)} matrices, |GL({d},{p})| = {order}")
     return out
@@ -268,10 +267,7 @@ def gl_enumerate(d: int, p: int) -> list:
 @functools.lru_cache(maxsize=None)
 def subspace_masks(m: int, p: int) -> np.ndarray:
     """Row i marks the vectors of the i-th subspace of `enumerate_subspaces(m, p)`; read-only."""
-    coeffs, weights = [state_table(p, k) for k in range(m + 1)], _index_weights(p, m)
-    vectors = ((coeffs[s.dim] @ np.array(s.rows, dtype=np.int64).reshape(s.dim, m)) % p @ weights
-               for s in enumerate_subspaces(m, p))  # every combination of the RREF rows
-    masks = np.array([np.bincount(v, minlength=p**m) > 0 for v in vectors])
+    masks = np.array([_span_mask(s.rows, m, p) for s in enumerate_subspaces(m, p)])
     masks.flags.writeable = False  # one array is shared by every caller
     return masks
 
@@ -314,7 +310,7 @@ class LinearAction:
         perms = np.empty((len(self.elements), p**d), dtype=np.int32)
         step = 1 + 2**20 // (d * p**d)  # elements per call, so that its int64 work stays at a few MB
         for k in range(0, len(self.elements), step):
-            perms[k:k + step] = matrix_index_perm(self.elements[k:k + step], p, d)
+            perms[k:k + step] = matrix_index_perm(self.elements[k:k + step], p)
         if np.count_nonzero(perms == 0) != len(perms):  # a singular element sends some v != 0 to 0
             raise ValueError(f"an action element is singular mod {p}")
         object.__setattr__(self, "perms", perms)
@@ -340,8 +336,14 @@ class LinearAction:
         return len(self.elements)
 
 
+def _gl_acting_on(d: int, p: int, dim: int) -> list:
+    """GL(d,p) for an action on F_p^dim, refused before the listing if its permutation table passes the guard."""
+    guards.check("permutation_table", _checked_gl_order(d, p) * p**dim)
+    return gl_enumerate(d, p)
+
+
 def natural_action(d: int, p: int) -> LinearAction:
-    return LinearAction(tuple(gl_enumerate(d, p)), p, d, name=f"GL({d},{p}) natural")
+    return LinearAction(tuple(_gl_acting_on(d, p, d)), p, d, name=f"GL({d},{p}) natural")
 
 
 def wedge_pairs(d: int) -> list:
@@ -365,8 +367,9 @@ def wedge_matrix(g: tuple, p: int) -> tuple:
 
 def wedge_module(d: int, p: int) -> LinearAction:
     """GL(d,p) acting on the multiplicator M of the p-covering group of C_p^d."""
-    elems = tuple(wedge_matrix(g, p) for g in gl_enumerate(d, p))
-    return LinearAction(elems, p, d + len(wedge_pairs(d)), name=f"GL({d},{p}) wedge")
+    dim = d + len(wedge_pairs(d))
+    elems = tuple(wedge_matrix(g, p) for g in _gl_acting_on(d, p, dim))
+    return LinearAction(elems, p, dim, name=f"GL({d},{p}) wedge")
 
 
 def cauchy_frobenius(action: LinearAction) -> tuple:
@@ -452,8 +455,8 @@ def poly_pow(a: Sequence[int], e: int, p: int) -> tuple:
 
 
 @functools.lru_cache(maxsize=None)
-def monic_irreducibles(p: int, max_deg: int) -> list:
-    """Monic irreducible polynomials of degree 1..max_deg, by sieve."""
+def monic_irreducibles(p: int, max_deg: int) -> tuple:
+    """Monic irreducible polynomials of degree 1..max_deg, by sieve; a tuple, since it is cached."""
     irr: list = []
     for deg in range(1, max_deg + 1):
         for tail in itertools.product(range(p), repeat=deg):
@@ -466,7 +469,7 @@ def monic_irreducibles(p: int, max_deg: int) -> list:
             ):
                 continue
             irr.append(f)
-    return irr
+    return tuple(irr)
 
 
 def companion_matrix(f: Sequence[int], p: int) -> tuple:

@@ -7,7 +7,6 @@ Noncommutative polynomials are sparse coefficient tables keyed by words.
 from __future__ import annotations
 
 import functools
-import itertools
 import random
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
@@ -230,10 +229,6 @@ def lambda_basis(d: int, n: int, p: int) -> List[NcPoly]:
 # graded subspaces
 
 
-def words_of_degree(d: int, n: int) -> List[Word]:
-    return [tuple(w) for w in itertools.product(range(1, d + 1), repeat=n)]
-
-
 def _blocks(d: int, degrees: tuple) -> Tuple[Dict[int, int], int]:
     """First coordinate of each degree's block of d^n words, and the total width."""
     starts, width = {}, 0
@@ -241,6 +236,16 @@ def _blocks(d: int, degrees: tuple) -> Tuple[Dict[int, int], int]:
         starts[n] = width
         width += d**n
     return starts, width
+
+
+def _vector(f: NcPoly, d: int, starts: Dict[int, int], width: int) -> list:
+    """Coordinates of f: word w sits at the start of its degree's block plus its big-endian index."""
+    v = [0] * width
+    for w, c in f.coeffs.items():
+        if not all(1 <= a <= d for a in w):
+            raise ValueError(f"word {w} has a letter outside 1..{d}")
+        v[starts[len(w)] + sum((a - 1) * d**k for k, a in enumerate(reversed(w)))] = c
+    return v
 
 
 @dataclass(frozen=True)
@@ -267,18 +272,14 @@ class LieSubspace:
         degrees: Iterable[int],
     ) -> "LieSubspace":
         degrees = tuple(sorted(set(degrees)))
-        words = [w for n in degrees for w in words_of_degree(d, n)]
-        index = {w: i for i, w in enumerate(words)}
+        starts, width = _blocks(d, degrees)
         vecs = []
         for f in polys:
             if f.is_zero():
                 continue
             if not f.degrees() <= set(degrees):
                 raise ValueError("polynomial outside the stored degree range")
-            v = [0] * len(words)
-            for w, c in f.coeffs.items():
-                v[index[w]] = c
-            vecs.append(v)
+            vecs.append(_vector(f, d, starts, width))
         return cls(p, d, degrees, rref(vecs, p))
 
     @property
@@ -330,10 +331,7 @@ def _basis_vectors(degrees: tuple, d: int, p: int) -> tuple:
     out = []
     for n in degrees:
         for b in lambda_basis(d, n, p):
-            v = [0] * width
-            for w, c in b.coeffs.items():
-                v[starts[n] + sum((a - 1) * d**k for k, a in enumerate(reversed(w)))] = c
-            out.append(tuple(v))
+            out.append(tuple(_vector(b, d, starts, width)))
     return tuple(out)
 
 

@@ -38,7 +38,6 @@ class CayleyGroup:
         table,
         name: str = "G",
         generators: Optional[Sequence[int]] = None,
-        data: Optional[Sequence] = None,
     ):
         table = np.asarray(table, dtype=np.int32)
         n = table.shape[0]
@@ -49,7 +48,6 @@ class CayleyGroup:
         self.order = n
         self.name = name
         self.generators = list(generators) if generators is not None else None
-        self.data = list(data) if data is not None else None
         self._validate()
         self.identity = self._find_identity()
         self.inverse = self._find_inverses()
@@ -255,6 +253,7 @@ class CayleyGroup:
             cyclic.setdefault(self._span([x]), x)
         reps = list(cyclic.values())
         repmask = sum(1 << x for x in reps)
+        primes = set(filter(_is_prime, range(2, self.order + 1)))  # the index of M in a join divides |G|
         trivial = 1 << self.identity
         found = {trivial}
         queue: List[Tuple[int, List[int]]] = [(trivial, [])]
@@ -266,7 +265,7 @@ class CayleyGroup:
                 if covered >> x & 1 or gens and x < gens[-1]:
                     continue
                 double, jmask = self._join(block, mask, gens, x)
-                covered |= jmask if _is_prime(jmask.bit_count() // size) else double
+                covered |= jmask if jmask.bit_count() // size in primes else double
                 fresh = jmask & ~mask & repmask
                 if fresh & -fresh == 1 << x:
                     if jmask in found:

@@ -6,12 +6,12 @@ verifies the group axioms on it exactly, associativity by Light's test.
 """
 from __future__ import annotations
 
-import itertools
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from .. import guards
+from ..fplin import _index_weights, state_table
 from .cayley import CayleyGroup, direct_product, quotient_group
 
 
@@ -85,19 +85,17 @@ def modular_group(p: int, k: int) -> CayleyGroup:
 def ut_group(size: int, p: int, name: Optional[str] = None) -> CayleyGroup:
     """Upper unitriangular size x size matrices over F_p.
 
-    Element i has the base-p digits of i as its above-diagonal entries, row by row.
+    Element i has `state_table(p, k)[i]` as its k above-diagonal entries, row by row.
     """
     rows, cols = np.triu_indices(size, 1)
     k = rows.size
     order = p**k
     guards.check("group_order", order)
     mats = np.tile(np.eye(size, dtype=np.int64), (order, 1, 1))
-    mats[:, rows, cols] = list(itertools.product(range(p), repeat=k))
+    mats[:, rows, cols] = state_table(p, k)
     # only the above-diagonal entries of each product vary
     prod = np.einsum("atk,bkt->abt", mats[:, rows, :], mats[:, :, cols]) % p
-    table = prod @ p ** np.arange(k - 1, -1, -1)
-    data = [tuple(map(tuple, m)) for m in mats.tolist()]
-    return CayleyGroup(table, name=name or f"UT({size},{p})", data=data)
+    return CayleyGroup(prod @ _index_weights(p, k), name=name or f"UT({size},{p})")
 
 
 def extraspecial(p: int, exponent: str) -> CayleyGroup:
@@ -151,8 +149,7 @@ def semidirect_product(
 def wreath_cp_cp(p: int) -> CayleyGroup:
     """C_p wr C_p = C_p^p x| C_p, the top C_p shifting the coordinates cyclically."""
     guards.check("group_order", p ** (p + 1))
-    base = np.array(list(itertools.product(range(p), repeat=p)))
-    weights = p ** np.arange(p - 1, -1, -1)
+    base, weights = state_table(p, p), _index_weights(p, p)
 
     def shift(s: int) -> np.ndarray:
         return np.roll(base, s, axis=1) @ weights

@@ -74,23 +74,21 @@ def total_submodules(alpha, q: int) -> int:
 # brute-force oracle on abelian groups
 
 
-_census_cache: Dict[Tuple[int, Tuple[int, ...]], Dict[Tuple[int, ...], int]] = {}
-
-
 def abelian_subgroup_type_census(p: int, lam) -> Dict[Tuple[int, ...], int]:
-    """Subgroup counts by abelian type, from exhaustive subgroup enumeration."""
+    """Subgroup counts by abelian type, from exhaustive subgroup enumeration; a new dict each call."""
     lam = lam if isinstance(lam, Partition) else Partition(lam)
-    key = (p, lam.parts)
-    if key in _census_cache:
-        return _census_cache[key]
-    g = abelian_of_type(p, lam.parts)
+    return dict(_type_census(p, lam.parts))
+
+
+@functools.lru_cache(maxsize=None)
+def _type_census(p: int, parts: Tuple[int, ...]) -> tuple:
+    g = abelian_of_type(p, parts)
     orders = g.element_orders()
     census: Dict[Tuple[int, ...], int] = {}
     for sub in g.all_subgroups():
         t = abelian_type_of_orders(orders[sub], p)
         census[t] = census.get(t, 0) + 1
-    _census_cache[key] = census
-    return census
+    return tuple(census.items())
 
 
 # ---------------------------------------------------------------------------

@@ -76,7 +76,7 @@ def evolve_steps(spec: WalkSpec, n: int) -> Iterator[np.ndarray]:
     """
     _check_steps(n)
     p, d, q = spec.p, spec.d, spec.q_weight
-    perm_ainv = matrix_index_perm(mat_inverse(spec.a_matrix, p), p, d)
+    perm_ainv = matrix_index_perm(mat_inverse(spec.a_matrix, p), p)
     dist = point_mass(spec)
     yield dist
     twisted = np.empty(spec.n_states)
@@ -113,7 +113,7 @@ def fourier_steps(spec: WalkSpec, n: int) -> Iterator[np.ndarray]:
     """Yields the transform of P_k for k = 0..n via the twisted product form; it is real."""
     _check_steps(n)
     at = tuple(zip(*spec.a_matrix))  # transpose
-    perm_at = matrix_index_perm(at, spec.p, spec.d)
+    perm_at = matrix_index_perm(at, spec.p)
     cur, nxt = step_transform(spec), np.empty(spec.n_states)
     f = np.ones(spec.n_states)
     yield f

@@ -55,8 +55,8 @@ def metacyclic(m: int, n: int, t: int, s: int) -> Tuple[Table, Optional[List[int
     return table, gens
 
 
-def ut_group(size: int, p: int) -> Tuple[Table, list]:
-    """Table and element matrices of UT(size, p), in itertools.product order of the entries."""
+def ut_group(size: int, p: int) -> Table:
+    """Table of UT(size, p), its elements numbered in itertools.product order of the entries."""
     positions = [(i, j) for i in range(size) for j in range(i + 1, size)]
 
     def to_mat(vals):
@@ -74,7 +74,7 @@ def ut_group(size: int, p: int) -> Tuple[Table, list]:
             for i in range(size)
         )
 
-    return [[index[mul(a, b)] for b in elements] for a in elements], elements
+    return [[index[mul(a, b)] for b in elements] for a in elements]
 
 
 def semidirect_product(

@@ -90,7 +90,7 @@ def invariant_subspace_count(g: tuple, p: int) -> int:
     """
     if not is_invertible(g, p):
         raise ValueError("matrix is singular")
-    return fixed_subspace_count(matrix_index_perm(g, p, len(g)), subspace_masks(len(g), p))
+    return fixed_subspace_count(matrix_index_perm(g, p), subspace_masks(len(g), p))
 
 
 def rref_field(rows: Iterable[Sequence[int]], field: SmallField) -> tuple:

@@ -8,7 +8,7 @@ import types
 
 import pytest
 
-from pgrouplab import bounds, cli
+from pgrouplab import bounds, cli, fplin
 from pgrouplab.groups import cyclic, dihedral
 from pgrouplab.groups.catalog import catalog, write_catalog
 from pgrouplab.qcombin import galois_number
@@ -144,6 +144,17 @@ def test_orbits_unsafe_limits_keep_the_gl_guard(capsys):
     code, out = run(["orbits", "--d", "3", "--p", "5"], capsys)
     assert code == 2
     assert json.loads(out) == {"failures": ["GL(d,p) order 1488000 exceeds guard 1000000"]}
+
+
+def test_orbits_refuses_the_permutation_table_before_listing_gl(monkeypatch, capsys):
+    # |GL(2,19)| = 123,120 passes the gl_order guard; its table on 19^2 vectors does not
+    def listing(d, p):
+        raise AssertionError("GL(d,p) listed before the permutation-table guard")
+
+    monkeypatch.setattr(fplin, "gl_enumerate", listing)
+    code, out = run(["orbits", "--d", "2", "--p", "19"], capsys)
+    assert code == 2
+    assert json.loads(out) == {"failures": ["permutation table entries 44446320 exceeds guard 33554432"]}
 
 
 def test_unsafe_limits_only_on_the_commands_that_read_it():

@@ -1,4 +1,6 @@
 import itertools
+import math
+import operator
 import random
 
 import numpy as np
@@ -36,6 +38,19 @@ def test_state_table_lists_states_like_itertools_product(p, d):
     assert got.shape == want.shape == (p**d, d) and got.dtype == want.dtype
     assert np.array_equal(got, want)
     assert got.flags.c_contiguous  # as the list-built table: row sums add in the same order
+
+
+@pytest.mark.parametrize("m,p,k,seed", [(4, 3, 2, 1), (3, 5, 1, 2), (5, 2, 3, 3), (2, 7, 2, 4), (3, 2, 0, 5)])
+def test_matrix_index_perm_of_a_column_basis_lists_its_span(m, p, k, seed):
+    # an m x k matrix: entry i is the index of the combination with coefficients state(i)
+    rng = random.Random(seed)
+    basis = [[rng.randrange(p) for _ in range(m)] for _ in range(k)]
+    want = []
+    for coeffs in itertools.product(range(p), repeat=k):
+        v = [sum(c * b[j] for c, b in zip(coeffs, basis)) % p for j in range(m)]
+        want.append(sum(x * p ** (m - 1 - j) for j, x in enumerate(v)))
+    cols = np.array(basis, dtype=np.int64).reshape(k, m).T
+    assert fp.matrix_index_perm(cols, p).tolist() == want
 
 
 def test_mat_inverse_roundtrip():
@@ -124,9 +139,45 @@ def test_gl_enumerate_counts(d, p, want):
     assert all(fp.is_invertible(g, p) for g in mats)
 
 
+def _gl_by_filter(d, p):
+    """Every d x d matrix over F_p as a tuple of rows, in itertools.product order,
+    kept when its Leibniz determinant is a unit; nothing here comes from fplin."""
+    vectors = list(itertools.product(range(p), repeat=d))
+    tails = list(itertools.product(vectors, repeat=d - 1))
+    terms = [(perm, (-1) ** sum(a > b for a, b in itertools.combinations(perm, 2)))
+             for perm in itertools.permutations(range(d - 1))]
+
+    def det(m):
+        return sum(sign * math.prod(m[i][j] for i, j in enumerate(perm)) for perm, sign in terms)
+
+    # det M = sum_j M[0][j] C_j, where C_j = (-1)^j det(the other rows without column j)
+    cofactors = [[(-1) ** j * det([r[:j] + r[j + 1:] for r in t]) for j in range(d)] for t in tails]
+    return [(r,) + t for r in vectors for t, c in zip(tails, cofactors) if sum(map(operator.mul, r, c)) % p]
+
+
+@pytest.mark.parametrize("d,p", [(1, 2), (1, 7), (2, 2), (2, 5), (2, 7), (2, 17), (2, 31), (3, 2), (3, 3), (4, 2)])
+def test_gl_enumerate_is_the_ordered_filter_of_all_matrices(d, p):
+    got = fp.gl_enumerate(d, p)
+    assert got == _gl_by_filter(d, p)  # the same matrices in the same order
+    assert {type(x) for g in got[:50] for row in g for x in row} == {int}
+
+
 def test_gl_enumerate_guard():
     with pytest.raises(ValueError):
         fp.gl_enumerate(3, 5)
+
+
+def test_natural_and_wedge_refuse_the_permutation_table_before_listing_gl(monkeypatch):
+    def listing(d, p):
+        raise AssertionError("GL(d,p) listed before the guard")
+
+    monkeypatch.setattr(fp, "gl_enumerate", listing)
+    with pytest.raises(ValueError, match="^permutation table entries 44446320 exceeds guard 33554432$"):
+        fp.natural_action(2, 19)
+    with pytest.raises(ValueError, match="^permutation table entries"):
+        fp.wedge_module(2, 13)
+    with pytest.raises(ValueError, match="^GL\\(d,p\\) order 1488000 exceeds guard"):
+        fp.natural_action(3, 5)
 
 
 @pytest.mark.parametrize("d,p", [(0, 2), (-1, 3), (2, 4), (2, 1)])
@@ -306,9 +357,14 @@ def test_action_permutation_guard():
 
 
 def _fixed_by_rref(g, subspaces, p):
-    """Oracle: g-invariant subspaces through RREF membership, without masks."""
+    """Oracle: g-invariant subspaces through RREF membership, without masks.
+
+    The images g v of the basis lie in the subspace exactly when adding them
+    leaves its reduced echelon form as it was.
+    """
+    field = SmallField(p)
     return sum(
-        all(s.contains(mat_vec(g, v, p)) for v in s.rows) for s in subspaces
+        rref_field(s.rows + tuple(mat_vec(g, v, p) for v in s.rows), field) == s.rows for s in subspaces
     )
 
 
@@ -351,6 +407,13 @@ def test_poly_divmod_roundtrip(p, a, b):
         )
     )
     assert recon == fp.poly_trim(tuple(x % p for x in a))
+
+
+def test_monic_irreducibles_cache_cannot_be_emptied_by_a_caller():
+    first = fp.monic_irreducibles(3, 2)
+    with pytest.raises(AttributeError):
+        first.clear()
+    assert fp.monic_irreducibles(3, 2) == first and len(first) == 3 + 3
 
 
 def test_monic_irreducibles_counts_match_necklace_formula():

@@ -205,6 +205,14 @@ def test_com_subspace_frozen_examples():
     assert lam1.com().dim == 1  # the whole degree-2 component
 
 
+@pytest.mark.parametrize("word", [(3,), (0,), (1, 3), (2, 0), (-1, 2)])
+def test_from_polys_refuses_a_letter_outside_the_alphabet(word):
+    # with d = 2 the index arithmetic would put (3,) at coordinate 2, the first word of degree 2
+    f = fl.NcPoly({word: 1}, 5, 2)
+    with pytest.raises(ValueError, match="letter outside 1..2"):
+        fl.LieSubspace.from_polys([f], 5, 2, degrees=(1, 2))
+
+
 def subspace_from_rows(rows, basis, p, d, degrees):
     polys = []
     for row in rows:

@@ -219,19 +219,17 @@ def test_abelian_type_refuses_a_layer_that_is_not_a_p_power():
 
 @pytest.mark.parametrize("size,p", [(3, 3), (4, 2)])
 def test_unitriangular_series_is_diagonal_cutoff(size, p):
-    # i-th term: matrices vanishing at positions with 0 < col - row < i
+    # i-th term: matrices vanishing at positions with 0 < col - row < i; element idx
+    # has the entries of the idx-th itertools.product tuple above the diagonal, row by row
     g = gr.ut_group(size, p)
+    positions = [(r, c) for r in range(size) for c in range(r + 1, size)]
+    entries = list(itertools.product(range(p), repeat=len(positions)))
     series = g.lower_p_series(p)
     for i, term in enumerate(series, start=1):
         expected = {
             idx
-            for idx, mat in enumerate(g.data)
-            if all(
-                mat[r][c] == 0
-                for r in range(size)
-                for c in range(size)
-                if 0 < c - r < i
-            )
+            for idx, vals in enumerate(entries)
+            if all(x == 0 for (r, c), x in zip(positions, vals) if c - r < i)
         }
         assert set(int(x) for x in term) == expected
 

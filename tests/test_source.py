@@ -188,3 +188,37 @@ def test_guard_table_check_can_fail():
     checked, own = _guard_use(source)
     assert checked == ["no_such_guard"] and "no_such_guard" not in guards.LIMITS
     assert own == ["STATE_GUARD", "MAX_DEGREE", " exceeds guard "]
+
+
+# One numbering of F_p^m: `fplin.state_table` lists the coordinate tuples, so no
+# other module lists them with itertools.product, and subspace membership is read
+# off vector masks, so a vector-against-RREF reduction must not come back.
+def _numbering_use(source):
+    """Whether a source reads itertools.product, and whether it names reduce_against."""
+    tree = ast.parse(source)
+    product = any(
+        (isinstance(node, ast.Attribute) and node.attr == "product"
+         and isinstance(node.value, ast.Name) and node.value.id == "itertools")
+        or (isinstance(node, ast.ImportFrom) and node.module == "itertools"
+            and any(alias.name == "product" for alias in node.names))
+        for node in ast.walk(tree))
+    names = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    names |= {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+    names |= {n.name for n in ast.walk(tree) if isinstance(n, (ast.FunctionDef, ast.alias))}
+    return product, "reduce_against" in names
+
+
+def test_one_numbering_of_the_coordinate_tuples():
+    root = pathlib.Path(pgrouplab.__file__).parent
+    uses = {str(path.relative_to(root)): _numbering_use(path.read_text()) for path in sorted(root.rglob("*.py"))}
+    assert [name for name, (product, _) in uses.items() if product] == ["fplin.py"]
+    assert [name for name, (_, reduce) in uses.items() if reduce] == []
+
+
+def test_numbering_check_can_fail():
+    assert _numbering_use("import itertools\nvs = list(itertools.product(range(p), repeat=d))\n") == (True, False)
+    assert _numbering_use("from itertools import product\n") == (True, False)
+    assert _numbering_use("def reduce_against(v, rows, p):\n    pass\n") == (False, True)
+    assert _numbering_use("from .fplin import reduce_against\n") == (False, True)
+    assert _numbering_use("w = fplin.reduce_against(v, rows, p)\n") == (False, True)
+    assert _numbering_use("import itertools\npairs = itertools.combinations(xs, 2)\n") == (False, False)

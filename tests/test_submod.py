@@ -83,6 +83,15 @@ def test_oracle_guard():
         sm.abelian_subgroup_type_census(2, (13,))
 
 
+def test_type_census_cache_is_not_changed_by_editing_a_result():
+    first = sm.abelian_subgroup_type_census(2, (2,))
+    want = dict(first)
+    first[(1,)] = 0
+    first[(9,)] = 1
+    assert sm.abelian_subgroup_type_census(2, Partition((2, 0))) == want
+    assert want == {(): 1, (1,): 1, (2,): 1}
+
+
 def test_oracle_census_keeps_the_subgroup_guard():
     # C_2^8 passes the order guard (256); listing its 417,199 subgroups is refused
     with pytest.raises(ValueError, match="subgroup-listing order 256 exceeds guard 243"):
